@@ -138,104 +138,6 @@ def figure_5g(space: ObservationSpace, sizes) -> None:
         print(f"{n:>6} {t_pre:>10.3f} {t_norm:>10.3f} {t_pre / max(t_norm, 1e-9):>7.2f}")
 
 
-def kernel_speedup(sizes) -> None:
-    import bench_kernels
-
-    header("Kernel paths: python vs numpy vs parallel")
-    print(
-        f"{'n':>6} {'series':>12} {'pairs':>12} {'python':>9} {'numpy':>9} "
-        f"{'parallel':>9} {'speedup':>8}"
-    )
-    for n in sizes:
-        space = build_synthetic_space(n, dimension_count=4, seed=42)
-        for label, targets in (
-            ("full+compl", bench_kernels.HEADLINE_TARGETS),
-            ("all-targets", bench_kernels.ALL_TARGETS),
-        ):
-            series = bench_kernels.bench_targets(space, targets, workers=4, reps=2)
-            print(
-                f"{n:>6} {label:>12} {series['pairs']:>12,} "
-                f"{series['python']['seconds']:>9.3f} "
-                f"{series['numpy']['seconds']:>9.3f} {series['parallel']['seconds']:>9.3f} "
-                f"{series['speedup_numpy_vs_python']:>7.2f}x"
-            )
-
-
-def kernel_bench_recorded() -> None:
-    """Kernel-path rows recorded by ``bench_kernels.py``.
-
-    The full sweep (n=10k, all targets) takes minutes, so it is
-    recorded once into ``BENCH_kernels.json`` and replayed here.
-    Missing or pre-rework fields are *flagged*, never KeyError'd —
-    an old report file marks the section stale instead of crashing
-    the whole report.
-    """
-    header("Kernel benchmark: recorded BENCH_kernels.json")
-    bench_path = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-    try:
-        payload = json.loads(bench_path.read_text())
-    except (OSError, json.JSONDecodeError):
-        print(
-            "no BENCH_kernels.json — run "
-            "`PYTHONPATH=src python benchmarks/bench_kernels.py` to record it"
-        )
-        return
-    stale = [
-        field for field in ("cpus", "all_targets", "per_target") if field not in payload
-    ]
-    if stale:
-        print(
-            f"stale BENCH_kernels.json (missing: {', '.join(stale)}) — "
-            "re-run benchmarks/bench_kernels.py for the full breakdown"
-        )
-    print(
-        f"n={payload.get('n', '?')} seed={payload.get('seed', '?')} "
-        f"cpus={payload.get('cpus', '?')} python={payload.get('python', '?')}"
-    )
-
-    def seconds(series: dict, path: str) -> str:
-        value = (series.get(path) or {}).get("seconds")
-        return f"{value:>9.3f}" if value is not None else f"{'—':>9}"
-
-    def ratio(series: dict, key: str) -> str:
-        value = series.get(key)
-        return f"{value:>7.2f}x" if value is not None else f"{'—':>8}"
-
-    print(
-        f"{'series':>12} {'pairs':>14} {'python':>9} {'numpy':>9} "
-        f"{'parallel':>9} {'np-vs-py':>8} {'par-vs-np':>9}"
-    )
-    for name in ("headline", "all_targets"):
-        series = payload.get(name)
-        if not isinstance(series, dict):
-            continue
-        pairs = series.get("pairs")
-        print(
-            f"{name:>12} {pairs:>14,} " if pairs is not None else f"{name:>12} {'—':>14} ",
-            end="",
-        )
-        print(
-            f"{seconds(series, 'python')} {seconds(series, 'numpy')} "
-            f"{seconds(series, 'parallel')} {ratio(series, 'speedup_numpy_vs_python')} "
-            f"{ratio(series, 'speedup_parallel_vs_numpy')}"
-        )
-    per_target = payload.get("per_target")
-    if isinstance(per_target, dict) and per_target:
-        print(f"{'target':>15} {'python':>9} {'numpy':>9} {'speedup':>8}")
-        for target, row in per_target.items():
-            py_s = row.get("python_seconds")
-            np_s = row.get("numpy_seconds")
-            speedup = row.get("speedup")
-            print(
-                f"{target:>15} "
-                + (f"{py_s:>9.3f}" if py_s is not None else f"{'—':>9}")
-                + " "
-                + (f"{np_s:>9.3f}" if np_s is not None else f"{'—':>9}")
-                + " "
-                + (f"{speedup:>7.2f}x" if speedup is not None else f"{'—':>8}")
-            )
-
-
 def ablations(space: ObservationSpace) -> None:
     from repro.core import compute_hybrid
     from repro.core.matrix import OccurrenceMatrix
@@ -426,8 +328,6 @@ def main(argv=None) -> int:
     figure_5e(synthetic_sizes)
     figure_5f(space, sizes)
     figure_5g(space, sizes)
-    kernel_speedup(synthetic_sizes)
-    kernel_bench_recorded()
     cluster_serve_tier()
     streaming_ingest()
     telemetry_overhead()

@@ -45,6 +45,7 @@ import time
 from pathlib import Path
 
 from repro.core import Method, ObservationSpace, compute_relationships
+from repro.core.cubemask import check_kernel
 from repro.data.realworld import build_realworld_cubespace
 from repro.data.synthetic import build_synthetic_space
 from repro.errors import ReproError
@@ -121,7 +122,7 @@ def _run_compute(args: argparse.Namespace, trace) -> int:
     if args.kernel is not None:
         if args.method != Method.CUBE_MASKING.value:
             raise ReproError("--kernel is only supported with --method cube_masking")
-        options["kernel"] = args.kernel
+        check_kernel(args.kernel)
     kernel_stats: dict | None = None
     if args.kernel_stats:
         if args.method != Method.CUBE_MASKING.value:
@@ -995,9 +996,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compute.add_argument(
         "--kernel",
-        choices=["auto", "numpy", "python"],
-        help="cube_masking instance-check path: vectorised numpy kernel, "
-        "pure-Python loop, or auto per cube pair (default auto)",
+        metavar="{auto,numpy}",
+        help="accepted for compatibility and ignored: cube_masking always "
+        "runs the vectorised kernel (any other value is an error)",
     )
     compute.add_argument(
         "--kernel-stats",

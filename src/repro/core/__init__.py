@@ -11,11 +11,11 @@ Modules
 ``clustering`` / ``cluster_method``
     The lossy clustering method (Algorithm 3) with k-means, x-means,
     canopy and hierarchical clustering.
-``lattice`` / ``cubemask``
-    The lossless cubeMasking method (Algorithm 4) with the
-    children-prefetching optimisation.
+``lattice`` / ``cubemask`` / ``parallel``
+    The lossless cubeMasking method (Algorithm 4): one planner, one
+    executor, and the sequential, pool and incremental callers.
 ``kernels``
-    Vectorised cube-pair kernels over packed ancestor-closure bitsets
+    The vectorised cube-pair kernel over level-indexed ancestor codes
     and the zero-copy shared-memory publication the parallel fan-out
     attaches to.
 ``sparql_method`` / ``rules_method``

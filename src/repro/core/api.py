@@ -11,7 +11,9 @@ method name::
 
 ``update_relationships`` implements the incremental recomputation the
 paper lists as future work: after appending new observations to a
-space, only pairs that involve a new observation are (re)checked.
+space, only pairs that involve a new observation are (re)checked, by
+feeding just those rows to the one cubeMasking executor of
+:mod:`repro.core.cubemask`.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ def _as_space(data: CubeSpace | ObservationSpace) -> ObservationSpace:
     raise AlgorithmError(f"expected CubeSpace or ObservationSpace, got {type(data).__name__}")
 
 
-#: ``compute_relationships`` keywords that route the computation through
+#: ``compute_relationships`` options that route the computation through
 #: the fault-tolerant :class:`~repro.core.runner.MaterializationRunner`
 #: instead of the direct single-pass dispatch.
 _RUNNER_OPTIONS = (
@@ -97,7 +99,7 @@ def compute_relationships(
 
     ``options`` are forwarded to the method implementation (for example
     ``backend=`` for the baseline, ``algorithm=`` / ``sample_rate=`` for
-    clustering, ``prefetch_children=`` / ``kernel=`` for cube masking,
+    clustering, ``prefetch_children=`` for cube masking,
     ``mode=`` for the SPARQL and rule comparators).
 
     Passing any resilience option — ``checkpoint=``, ``resume=``,
@@ -133,24 +135,22 @@ def update_relationships(
     new_observations: Iterable[tuple[URIRef, URIRef, Mapping[URIRef, URIRef], Iterable[URIRef]]],
     *,
     return_delta: bool = False,
-    kernel: str = "auto",
-    kernel_threshold: int | None = None,
 ) -> RelationshipSet | tuple[RelationshipSet, RelationshipDelta]:
     """Incrementally extend ``result`` with relationships of new data.
 
     Appends each ``(uri, dataset, dims, measures)`` tuple to ``space``
-    and checks only the pairs that involve at least one new observation.
-    Candidate pairs are routed through the cube-lattice signature
-    pruning of Algorithm 4: a pair whose level signatures admit neither
-    containment direction (and whose cubes share no measure and are not
-    the same cube) is skipped without touching a single dimension —
-    incremental insert therefore skips provably unrelated cubes exactly
-    like the batch cubeMasking method does.  Surviving cube pairs are
-    scored per pair by the vectorised kernel or the tuple-at-a-time
-    loop, selected exactly as in
-    :func:`~repro.core.cubemask.compute_cubemask` (``kernel=`` /
-    ``kernel_threshold=``).  ``result`` is mutated in place and
-    returned.
+    and checks only the pairs that involve at least one new observation
+    — a caller of the cubeMasking executor
+    (:func:`~repro.core.cubemask.score_batch`) that feeds only new
+    rows.  For each cube holding new rows it scores, per direction, at
+    most two batches: the cubes whose level signatures dominate (full
+    containment and complementarity possible) and those that only
+    partially dominate (partial containment only); cubes admitting
+    neither direction are skipped without touching a dimension, exactly
+    like the batch sweep.  Direction 1 scores old members of the
+    admissible cubes against the new rows; direction 2 scores the new
+    rows against every admissible member, new ones included.
+    ``result`` is mutated in place and returned.
 
     With ``return_delta=True`` the return value is ``(result, delta)``
     where ``delta`` is a :class:`~repro.core.results.RelationshipDelta`
@@ -158,162 +158,85 @@ def update_relationships(
     service uses for O(|delta|) index maintenance and cache
     invalidation.
     """
-    from repro.core import kernels as _kernels
-    from repro.core.cubemask import KERNEL_MODES
-    from repro.core.lattice import CubeLattice, dominates, partially_dominates
+    import numpy as np
 
-    if kernel not in KERNEL_MODES:
-        raise AlgorithmError(f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}")
-    threshold = (
-        _kernels.DEFAULT_KERNEL_THRESHOLD if kernel_threshold is None else kernel_threshold
-    )
+    from repro.core import kernels as _kernels
+    from repro.core.cubemask import score_batch
+    from repro.core.lattice import CubeLattice
+
     delta = RelationshipDelta()
     start = len(space)
     for uri, dataset, dims, measures in new_observations:
         space.add(uri, dataset, dims, measures)
-    n = len(space)
-    if n == start:
+    if len(space) == start:
         return (result, delta) if return_delta else result
-    total = len(space.dimensions)
+    dimensions = space.dimensions
+    k = len(dimensions)
     uris = [record.uri for record in space.observations]
-    codes = [record.codes for record in space.observations]
-
-    def emit_full(a: int, b: int) -> None:
-        pair = (uris[a], uris[b])
-        if pair not in result.full:
-            result.add_full(*pair)
-            delta.added_full.add(pair)
-
-    def emit_complementary(a: int, b: int) -> None:
-        pair = canonical(uris[a], uris[b])
-        if pair not in result.complementary:
-            result.complementary.add(pair)
-            delta.added_complementary.add(pair)
-
-    def emit_partial(a: int, b: int, count: int, dims=None) -> None:
-        pair = (uris[a], uris[b])
-        if dims is None:
-            dims = space.partial_dimensions(a, b)
-        degree = count / total if total else None
-        fresh = pair not in result.partial
-        result.add_partial(*pair, dims, degree)
-        if fresh:
-            delta.added_partial.add(pair)
-            delta.partial_map[pair] = dims
-            if degree is not None:
-                delta.degrees[pair] = degree
-
-    def check_pair(a: int, b: int) -> None:
-        if a == b:
-            return
-        count = sum(1 for p in range(total) if space.dimension_contains(a, b, p))
-        overlap = space.measure_overlap(a, b)
-        if count == total:
-            if overlap:
-                emit_full(a, b)
-            if a < b and codes[a] == codes[b]:
-                emit_complementary(a, b)
-        elif 0 < count < total and overlap:
-            emit_partial(a, b, count)
-
-    # ------------------------------------------------------------------
-    # Cube-level pruning (Algorithm 4 applied to the delta): group the
-    # space by level signature once, then only scan member pairs of
-    # cube pairs whose signatures admit a containment direction.  A
-    # cube pair also needs overlapping measures unless the signatures
-    # are equal (complementarity needs no shared measure).
-    # ------------------------------------------------------------------
+    collect_masks = k <= _kernels.DIM_MASK_LIMIT
+    plan = _kernels.build_kernel_plan(space, collect_partial_dimensions=collect_masks)
     lattice = CubeLattice(space)
-    signatures = lattice.signatures
-    assignment, overlap_table = _kernels.measure_overlap_groups(space)
-    cube_groups = {
-        cube: sorted({int(assignment[i]) for i in members})
-        for cube, members in lattice.nodes.items()
-    }
+    cubes = list(lattice.nodes)
+    levels = np.asarray(cubes, dtype=np.int16).reshape(len(cubes), k)
+    members = [np.asarray(lattice.nodes[cube], dtype=np.int64) for cube in cubes]
+    targets = ("full", "complementary", "partial")
+    # Partial pairs share one map_P set per mask and one degree per
+    # count: an insert can add thousands of pairs with only a handful
+    # of distinct values.
+    degrees = [count / k for count in range(k + 1)]
+    decoded: dict[int, frozenset] = {}
 
-    def cubes_share_measures(cube_a, cube_b) -> bool:
-        return any(
-            overlap_table[i, j] for i in cube_groups[cube_a] for j in cube_groups[cube_b]
-        )
+    def emit(block) -> None:
+        for a, b in zip(block.full_a.tolist(), block.full_b.tolist()):
+            pair = (uris[a], uris[b])
+            if pair not in result.full:
+                result.add_full(*pair)
+                delta.added_full.add(pair)
+        for a, b in zip(block.compl_a.tolist(), block.compl_b.tolist()):
+            pair = canonical(uris[a], uris[b])
+            if pair not in result.complementary:
+                result.complementary.add(pair)
+                delta.added_complementary.add(pair)
+        masks = block.partial_dim_masks
+        for position, (a, b, count) in enumerate(block.partial):
+            pair = (uris[a], uris[b])
+            if masks is None:
+                dims = space.partial_dimensions(a, b)
+            else:
+                mask = masks[position]
+                dims = decoded.get(mask)
+                if dims is None:
+                    dims = decoded[mask] = _kernels.decode_dim_mask(dimensions, mask)
+            fresh = pair not in result.partial
+            result.add_partial(*pair, dims, degrees[count])
+            if fresh:
+                delta.added_partial.add(pair)
+                delta.partial_map[pair] = dims
+                delta.degrees[pair] = degrees[count]
 
-    # Kernel path: a lazily built plan over the extended space scores a
-    # whole admissible cube pair in bulk; dimension masks ride along so
-    # ``map_P`` entries need no per-pair recomputation (wider than
-    # 64-dimension buses fall back to the per-pair extraction).
-    plan_cache: list = []
+    def rows_of(selected, old_only: bool) -> np.ndarray:
+        rows = [members[i] for i in np.flatnonzero(selected)]
+        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        return rows[rows < start] if old_only else rows
 
-    def get_plan() -> _kernels.KernelPlan:
-        if not plan_cache:
-            plan_cache.append(_kernels.build_kernel_plan(space))
-        return plan_cache[0]
-
-    kernel_collects_dims = total <= 64
-
-    def scan_block(rows_a, rows_b, same_cube: bool) -> None:
-        block = _kernels.evaluate_pair_block(
-            get_plan(),
-            rows_a,
-            rows_b,
-            containing=True,
-            same_cube=same_cube,
-            want_full=True,
-            want_compl=same_cube,
-            want_partial=True,
-            collect_partial_dimensions=kernel_collects_dims,
-        )
-        for a, b in block.full:
-            emit_full(a, b)
-        for a, b in block.complementary:
-            emit_complementary(a, b)
-        if kernel_collects_dims:
-            for (a, b, count), mask in zip(block.partial, block.partial_dim_masks):
-                emit_partial(a, b, count, _kernels.decode_dim_mask(space.dimensions, mask))
-        else:
-            for a, b, count in block.partial:
-                emit_partial(a, b, count)
-
-    def use_kernel(pair_count: int) -> bool:
-        if kernel == "python":
-            return False
-        return kernel == "numpy" or pair_count >= threshold
-
-    def admissible(cube_a, cube_b) -> bool:
-        """May *any* member pair (a in cube_a, b in cube_b) relate?"""
-        if not (dominates(cube_a, cube_b) or partially_dominates(cube_a, cube_b)):
-            return False
-        return cube_a == cube_b or cubes_share_measures(cube_a, cube_b)
-
-    new_cubes: dict = {}
-    for index in range(start, n):
-        new_cubes.setdefault(signatures[index], []).append(index)
-
-    for cube_b, new_members in new_cubes.items():
-        # Direction 1: pre-existing observations as container candidates.
-        for cube_a, members_a in lattice.nodes.items():
-            if not admissible(cube_a, cube_b):
-                continue
-            # new-new pairs are covered by direction 2
-            old_members = [a for a in members_a if a < start]
-            if not old_members:
-                continue
-            if use_kernel(len(old_members) * len(new_members)):
-                scan_block(old_members, new_members, cube_a == cube_b)
-                continue
-            for a in old_members:
-                for b in new_members:
-                    check_pair(a, b)
-    for cube_a, new_members in new_cubes.items():
-        # Direction 2: new observations as container candidates (the
-        # contained side ranges over the whole space, new included).
-        for cube_b, members_b in lattice.nodes.items():
-            if not admissible(cube_a, cube_b):
-                continue
-            if use_kernel(len(new_members) * len(members_b)):
-                scan_block(new_members, members_b, cube_a == cube_b)
-                continue
-            for a in new_members:
-                for b in members_b:
-                    check_pair(a, b)
+    for index in range(len(cubes)):
+        new_rows = members[index][members[index] >= start]
+        if not new_rows.size:
+            continue
+        # Direction 1: cubes that may contain this cube (old members
+        # only; new-new pairs are covered by direction 2).
+        # Direction 2: cubes this cube may contain.
+        for le, incoming in ((levels <= levels[index], True), (levels[index] <= levels, False)):
+            containing = le.all(axis=1)
+            sideways = le.any(axis=1) & ~containing
+            for selected, dominates in ((containing, True), (sideways, False)):
+                others = rows_of(selected, old_only=incoming)
+                if not others.size:
+                    continue
+                if incoming:
+                    emit(score_batch(plan, others, new_rows, dominates, targets, collect_masks))
+                else:
+                    emit(score_batch(plan, new_rows, others, dominates, targets, collect_masks))
     return (result, delta) if return_delta else result
 
 

@@ -10,37 +10,52 @@ whose signatures admit the relationship:
 * partial containment: at least one dominating dimension.
 
 The method is lossless (100 % recall) because signature dominance is a
-necessary condition of the instance-level relationships.  The optional
-``prefetch_children`` flag stores each cube's dominated-cube list in
-memory instead of re-testing dominance in every pass — the ~15-20 %
-optimisation of Figure 5(g).
+necessary condition of the instance-level relationships.
 
-Instance checks within a surviving cube pair run on one of two paths,
-selected per pair by the ``kernel`` parameter:
+The sweep exists once, in three layers:
 
-* ``"numpy"`` — the vectorised kernel of :mod:`repro.core.kernels`:
-  one chunked broadcast AND-compare over the packed ancestor-closure
-  blocks scores all ``|A| × |B|`` member pairs at once,
-* ``"python"`` — the original tuple-at-a-time loop (no packed-matrix
-  build, lowest constant factor for tiny inputs),
-* ``"auto"`` (default) — numpy once a pair's member-count product
-  reaches ``kernel_threshold``, python below it.
+* the **planner** (:func:`build_cubemask_state`) hashes the space into
+  cubes, enumerates the admissible cube pairs in one deterministic
+  order, applies the cube-level measure prefilter and precomputes the
+  pruning counters;
+* the **executor** (:func:`score_pairs`) walks a slice of that order
+  in contiguous same-cube-A runs and scores each run's *dominated* and
+  *sideways* partner batch with :func:`score_batch`, the one caller of
+  the vectorised kernel (:mod:`repro.core.kernels`);
+* **callers** choose which rows to feed and where the blocks go:
+  :func:`compute_cubemask` emits every block straight into a
+  :class:`~repro.core.results.RelationshipSet`, :func:`score_range`
+  scores one checkpointable range, the pool workers of
+  :mod:`repro.core.parallel` ship blocks to the parent, and
+  :func:`repro.core.api.update_relationships` feeds only new rows.
+
+``prefetch_children`` (Figure 5(g)) plans every target's cube pairs in
+one pass; ``prefetch_children=False`` is the ablation that re-derives
+cube dominance in one planner pass per target.
 """
 
 from __future__ import annotations
 
 import time
+from typing import Iterator
 
 import numpy as np
 
+from repro.core import kernels as _kernels
 from repro.core.lattice import CubeLattice
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
 from repro.errors import AlgorithmError
 
-__all__ = ["compute_cubemask", "KERNEL_MODES"]
-
-KERNEL_MODES = ("auto", "numpy", "python")
+__all__ = [
+    "compute_cubemask",
+    "build_cubemask_state",
+    "score_batch",
+    "score_pairs",
+    "score_range",
+    "emit_block",
+    "check_kernel",
+]
 
 #: Every counter ``compute_cubemask`` maintains when handed a stats
 #: dict.  ``instance_comparisons`` counts member pairs actually
@@ -113,9 +128,263 @@ def _flush_counts(counts: dict) -> None:
     metrics["last_cubes"].set(counts["cubes"])
     # Kernel counters batch their registry pushes; drain the tail so a
     # scrape right after a compute sees the complete numbers.
-    from repro.core import kernels
+    _kernels.flush_registry_counters()
 
-    kernels.flush_registry_counters()
+
+def check_kernel(kernel: str) -> None:
+    """Validate the legacy ``kernel`` option.
+
+    ``"auto"`` and ``"numpy"`` are accepted and ignored: the vectorised
+    kernel is the only instance-check path.  Anything else — including
+    the retired tuple-at-a-time ``"python"`` path — is a typed error.
+    """
+    if kernel not in ("auto", "numpy"):
+        raise AlgorithmError(
+            f"unsupported kernel mode {kernel!r}: cubeMasking always runs the "
+            "vectorised kernel ('auto' and 'numpy' are accepted for compatibility)"
+        )
+
+
+# ----------------------------------------------------------------------
+# The planner.
+# ----------------------------------------------------------------------
+def _enumerate_pairs(signatures: np.ndarray, want_partial: bool, chunk: int = 256) -> np.ndarray:
+    """Deterministic candidate cube-pair order.
+
+    Row-major ``(i, j)`` over the sorted cubes, keeping pairs where
+    cube i dominates cube j (pointwise ``<=``) or — when partial
+    containment is requested — dominates on at least one dimension,
+    computed as a chunked signature broadcast.
+    """
+    count = len(signatures)
+    if count == 0:
+        return np.zeros((0, 2), dtype=np.int32)
+    out: list[np.ndarray] = []
+    for start in range(0, count, chunk):
+        le = signatures[start : start + chunk, None, :] <= signatures[None, :, :]
+        admissible = le.all(axis=2)
+        if want_partial:
+            admissible |= le.any(axis=2)
+        hits = np.argwhere(admissible)
+        hits[:, 0] += start
+        out.append(hits)
+    return np.ascontiguousarray(np.concatenate(out), dtype=np.int32)
+
+
+def build_cubemask_state(
+    space: ObservationSpace,
+    targets,
+    collect_partial_dimensions: bool = False,
+) -> dict:
+    """Plan one cubeMasking sweep for a fixed space + target set.
+
+    Returns the kernel plan, the sorted cubes (``signatures``, their
+    ``members`` rows delimited by ``cube_offsets``) and the admissible
+    cube-pair order ``pairs``.  Pairs no target can use are filtered
+    out here — measure-disjoint cubes on partial runs, off-diagonal
+    pairs on complementarity-only runs — and the resulting pruning
+    breakdown is precomputed under ``counts``, so every caller of the
+    same plan reports the same statistics.  Partial-dimension masks
+    (``collect_masks``) ride along up to
+    :data:`~repro.core.kernels.DIM_MASK_LIMIT` dimensions.
+    """
+    lattice = CubeLattice(space)
+    cubes = sorted(lattice.nodes)
+    k = len(space.dimensions)
+    signatures = np.asarray(cubes, dtype=np.int16).reshape(len(cubes), k)
+    member_lists = [lattice.nodes[cube] for cube in cubes]
+    cube_offsets = np.zeros(len(cubes) + 1, dtype=np.int64)
+    if member_lists:
+        cube_offsets[1:] = np.cumsum([len(members) for members in member_lists])
+    members = (
+        np.concatenate([np.asarray(m, dtype=np.int32) for m in member_lists])
+        if member_lists
+        else np.zeros(0, dtype=np.int32)
+    )
+    collect_masks = collect_partial_dimensions and k <= _kernels.DIM_MASK_LIMIT
+    plan = _kernels.build_kernel_plan(space, collect_partial_dimensions=collect_masks)
+    want_full = "full" in targets
+    want_partial = "partial" in targets
+    pairs = _enumerate_pairs(signatures, want_partial)
+
+    counts = {key: 0 for key in STAT_KEYS}
+    counts["cubes"] = len(cubes)
+    sizes = np.diff(cube_offsets)
+    index_a, index_b = pairs[:, 0], pairs[:, 1]
+    la, lb = sizes[index_a], sizes[index_b]
+    same = index_a == index_b
+    keep = None
+    if want_partial and k >= 1:
+        # Cube-level measure prefilter: a pair survives when some member
+        # measure-groups overlap (always true for same-cube pairs —
+        # measure sets are non-empty, so complementarity is never lost).
+        group_count = plan.group_overlap.shape[0]
+        cube_group = np.zeros((len(cubes), group_count), dtype=np.int32)
+        for position, member_list in enumerate(member_lists):
+            rows = np.asarray(member_list, dtype=np.int64)
+            cube_group[position, plan.assignment[rows]] = 1
+        # keep[p] = any overlap between cube A's and cube B's groups,
+        # as a per-pair row dot against the overlap-reachable groups —
+        # no |cubes|² share matrix is ever materialised.
+        reach = cube_group @ plan.group_overlap.astype(np.int32)
+        keep = np.einsum("ij,ij->i", reach[index_a], cube_group[index_b]) > 0
+        counts["pruned_cube_pairs"] = int((~keep).sum())
+        counts["pruned_comparisons"] = int((la * lb)[~keep].sum())
+    elif not want_full and len(pairs):
+        # Complementarity only: it lives inside one cube, so
+        # off-diagonal dominating pairs cannot produce anything.
+        keep = same
+    if keep is not None:
+        pairs = np.ascontiguousarray(pairs[keep])
+        la, lb, same = la[keep], lb[keep], same[keep]
+    diagonal = np.where(same, la, 0)
+    counts["cube_pairs"] = len(pairs)
+    counts["instance_comparisons"] = int((la * lb - diagonal).sum())
+    counts["pruned_comparisons"] += int(diagonal.sum())
+    return dict(
+        plan=plan,
+        signatures=signatures,
+        members=members,
+        cube_offsets=cube_offsets,
+        pairs=pairs,
+        targets=frozenset(targets),
+        k=k,
+        dimensions=space.dimensions,
+        collect_masks=collect_masks,
+        counts=counts,
+        uris=[record.uri for record in space.observations],
+    )
+
+
+# ----------------------------------------------------------------------
+# The executor.
+# ----------------------------------------------------------------------
+def score_batch(
+    plan: _kernels.KernelPlan,
+    rows_a,
+    rows_b,
+    containing: bool,
+    targets,
+    collect_masks: bool = False,
+) -> _kernels.PairBlockResult:
+    """Score one batch of member rows: the single kernel call site.
+
+    ``containing`` states that every cube of ``rows_a`` dominates every
+    cube of ``rows_b`` (full containment and complementarity are
+    possible); it also gates the complementarity check, which is safe
+    across cube boundaries because equal code vectors imply equal
+    signatures — it can only fire between rows of one cube.
+    """
+    return _kernels.evaluate_pair_block(
+        plan,
+        rows_a,
+        rows_b,
+        containing=containing,
+        same_cube=containing,
+        want_full="full" in targets,
+        want_compl="complementary" in targets,
+        want_partial="partial" in targets,
+        collect_partial_dimensions=collect_masks,
+    )
+
+
+def _cube_rows(members: np.ndarray, offsets: np.ndarray, cubes) -> np.ndarray:
+    if len(cubes) == 1:
+        return members[offsets[cubes[0]] : offsets[cubes[0] + 1]]
+    return np.concatenate([members[offsets[c] : offsets[c + 1]] for c in cubes])
+
+
+def score_pairs(state: dict, pair_rows, counts: dict | None = None) -> Iterator[_kernels.PairBlockResult]:
+    """Execute a slice of a plan's cube-pair order, one block per batch.
+
+    Contiguous same-cube-A runs of the (row-major) order are split into
+    a *dominated* batch (full/complementarity possible) and a
+    *sideways* batch (partial only), and each batch is one
+    :func:`score_batch` call, so every member pair goes through the
+    kernel's bitset pass exactly once.  ``counts`` (optional) receives
+    the ``kernel_pairs`` / ``kernel_ns`` of the calls.
+    """
+    plan = state["plan"]
+    signatures = state["signatures"]
+    members = state["members"]
+    offsets = state["cube_offsets"]
+    targets = state["targets"]
+    collect_masks = state["collect_masks"]
+    pair_rows = np.asarray(pair_rows)
+    if pair_rows.size == 0:
+        return
+    split = "full" in targets or "complementary" in targets
+    column_a = pair_rows[:, 0]
+    run_bounds = np.flatnonzero(np.diff(column_a)) + 1
+    run_starts = np.concatenate(([0], run_bounds))
+    for start, partners in zip(run_starts, np.split(pair_rows[:, 1], run_bounds)):
+        index_a = int(column_a[start])
+        rows_a = members[offsets[index_a] : offsets[index_a + 1]]
+        if split:
+            dominated = (signatures[index_a][None, :] <= signatures[partners]).all(axis=1)
+            batches = ((partners[dominated], True), (partners[~dominated], False))
+        else:
+            batches = ((partners, False),)
+        for batch, containing in batches:
+            if len(batch) == 0:
+                continue
+            rows_b = _cube_rows(members, offsets, batch)
+            started = time.perf_counter_ns()
+            block = score_batch(plan, rows_a, rows_b, containing, targets, collect_masks)
+            if counts is not None:
+                counts["kernel_ns"] += time.perf_counter_ns() - started
+                counts["kernel_pairs"] += len(rows_a) * len(rows_b)
+            yield block
+
+
+# ----------------------------------------------------------------------
+# Callers: which rows to feed and where the blocks go.
+# ----------------------------------------------------------------------
+def emit_block(
+    result: RelationshipSet,
+    block: _kernels.PairBlockResult,
+    uris,
+    dimensions: tuple,
+    space: ObservationSpace | None = None,
+) -> None:
+    """Map one columnar block to URI pairs in ``result``.
+
+    Full/complementary pairs are few and materialise eagerly; partial
+    pairs stay columnar (:meth:`RelationshipSet.add_partial_block`).
+    Pass ``space`` when ``map_P`` is wanted but the block carries no
+    dimension masks (buses wider than 64 dimensions): the entries are
+    then decoded per pair.
+    """
+    k = len(dimensions)
+    if block.full_a.size:
+        result.full.update(
+            (uris[a], uris[b]) for a, b in zip(block.full_a.tolist(), block.full_b.tolist())
+        )
+    for a, b in zip(block.compl_a.tolist(), block.compl_b.tolist()):
+        result.add_complementary(uris[a], uris[b])
+    if space is not None and block.partial_masks is None:
+        for a, b, count in block.partial:
+            result.add_partial(uris[a], uris[b], space.partial_dimensions(a, b), count / k)
+        return
+    masks = block.partial_masks
+    result.add_partial_block(
+        uris,
+        block.partial_a,
+        block.partial_b,
+        block.partial_counts,
+        k,
+        masks,
+        dimensions if masks is not None else None,
+    )
+
+
+def score_range(state: dict, start: int, stop: int, counts: dict | None = None) -> RelationshipSet:
+    """Score ``state['pairs'][start:stop]`` into a relationship delta
+    (one checkpointable unit of the materialisation runner)."""
+    delta = RelationshipSet()
+    for block in score_pairs(state, state["pairs"][start:stop], counts):
+        emit_block(delta, block, state["uris"], state["dimensions"])
+    return delta
 
 
 def compute_cubemask(
@@ -126,367 +395,34 @@ def compute_cubemask(
     targets=None,
     stats: dict | None = None,
     kernel: str = "auto",
-    kernel_threshold: int | None = None,
 ) -> RelationshipSet:
     """Run cubeMasking over an observation space.
 
     Parameters mirror :func:`repro.core.baseline.compute_baseline`;
     ``prefetch_children`` toggles the children-prefetching optimisation
-    benchmarked in Figure 5(g).  Pass a dict as ``stats`` to receive
-    the counters listed in :data:`STAT_KEYS`.  ``kernel`` selects the
-    instance-check path per cube pair (see module docstring);
-    ``kernel_threshold`` overrides the member-count product at which
-    ``"auto"`` switches to the vectorised kernel.
+    benchmarked in Figure 5(g) (see the module docstring).  Pass a dict
+    as ``stats`` to receive the counters listed in :data:`STAT_KEYS`.
+    ``kernel`` is validated by :func:`check_kernel` and otherwise
+    ignored.
     """
     from repro.core.baseline import normalize_targets
-    from repro.core import kernels as _kernels
     from repro.obs.tracing import trace
 
-    if kernel not in KERNEL_MODES:
-        raise AlgorithmError(f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}")
-    threshold = (
-        _kernels.DEFAULT_KERNEL_THRESHOLD if kernel_threshold is None else kernel_threshold
-    )
+    check_kernel(kernel)
     targets = normalize_targets(targets, collect_partial)
     result = RelationshipSet()
-    # Counters are now collected unconditionally (the increments are
-    # per *cube pair*, negligible next to the instance work) so the
-    # pruning breakdown always reaches the repro.obs registry; a
-    # caller-supplied ``stats`` dict receives a copy at the end.
     counts = {key: 0 for key in STAT_KEYS}
-    if stats is not None:
-        stats.update(counts)
-    n = len(space)
-    if n == 0:
-        return result
-    with trace("cubemask.lattice", observations=n):
-        lattice = CubeLattice(space)
-    counts["cubes"] = len(lattice)
-    dimensions = space.dimensions
-    k = len(dimensions)
-    # Local, index-aligned views for the hot loops.
-    ancestor_sets = [
-        space.hierarchies[dimension]._ancestors for dimension in dimensions
-    ]
-    codes = [record.codes for record in space.observations]
-    uris = [record.uri for record in space.observations]
-    assignment, overlap = _kernels.measure_overlap_groups(space)
-
-    # The kernel plan (packed blocks + code ids) is built lazily on the
-    # first cube pair that takes the numpy path, so ``kernel="python"``
-    # and all-tiny-cube runs never pay for it.
-    plan = None
-    member_rows: dict = {}
-
-    def get_plan():
-        nonlocal plan
-        if plan is None:
-            plan = _kernels.build_kernel_plan(space)
-        return plan
-
-    def rows_of(cube):
-        rows = member_rows.get(cube)
-        if rows is None:
-            rows = np.asarray(lattice.nodes[cube], dtype=np.int64)
-            member_rows[cube] = rows
-        return rows
-
-    def use_kernel(pair_count: int) -> bool:
-        if kernel == "python":
-            return False
-        if kernel == "numpy":
-            return True
-        return pair_count >= threshold
-
-    def note_pair(la: int, lb: int, same_cube: bool) -> None:
-        counts["cube_pairs"] += 1
-        diagonal = la if same_cube else 0
-        counts["instance_comparisons"] += la * lb - diagonal
-        counts["pruned_comparisons"] += diagonal
-
-    def note_kernel(started_ns: int, pairs: int) -> None:
-        counts["kernel_ns"] += time.perf_counter_ns() - started_ns
-        counts["kernel_pairs"] += pairs
-
-    def full_dim_containment(a: int, b: int) -> bool:
-        code_a, code_b = codes[a], codes[b]
-        for position in range(k):
-            if code_a[position] not in ancestor_sets[position][code_b[position]]:
-                return False
-        return True
-
-    def containment_count(a: int, b: int) -> int:
-        code_a, code_b = codes[a], codes[b]
-        count = 0
-        for position in range(k):
-            if code_a[position] in ancestor_sets[position][code_b[position]]:
-                count += 1
-        return count
-
-    # ------------------------------------------------------------------
-    # Pass structure.  When partial containment is requested (and the
-    # bus has dimensions), one *fused sweep* over the partially
-    # dominating cube pairs derives all three targets from the same
-    # per-dimension work: the kernel's bitset pass classifies full and
-    # partial from one mask, and dominating pairs — a subset of the
-    # partially dominating ones — are never touched twice.  Without a
-    # partial target the original containing pass runs alone
-    # (``prefetch_children`` toggles its children-prefetch optimisation
-    # of Figure 5(g); the fused sweep enumerates partners directly and
-    # does not consult the children index).
-    # ------------------------------------------------------------------
-    want_full = "full" in targets
-    want_compl = "complementary" in targets
-    want_partial = "partial" in targets
-    fused = want_partial and k >= 1
-    children = lattice.children_index() if prefetch_children and not fused else None
-
-    def dominating_pairs():
-        return lattice.containment_pairs()
-
-    def emit_containing_block(block) -> None:
-        if block.full:
-            result.full.update((uris[a], uris[b]) for a, b in block.full)
-        for a, b in block.complementary:
-            result.add_complementary(uris[a], uris[b])
-
-    def scan_pair_python(cube_a, cube_b, check_full: bool, check_compl: bool) -> None:
-        members_a = lattice.nodes[cube_a]
-        members_b = lattice.nodes[cube_b]
-        same_cube = cube_a == cube_b
-        for a in members_a:
-            for b in members_b:
-                if a == b:
-                    continue
-                if not full_dim_containment(a, b):
-                    continue
-                if check_full and overlap[assignment[a], assignment[b]]:
-                    result.add_full(uris[a], uris[b])
-                # Mutual containment with equal signatures means equal
-                # code vectors -> complementarity.
-                if check_compl and same_cube and a < b and codes[a] == codes[b]:
-                    result.add_complementary(uris[a], uris[b])
-
-    def scan_pair(cube_a, cube_b, check_full: bool, check_compl: bool) -> None:
-        la = len(lattice.nodes[cube_a])
-        lb = len(lattice.nodes[cube_b])
-        note_pair(la, lb, cube_a == cube_b)
-        if use_kernel(la * lb):
-            started = time.perf_counter_ns()
-            block = _kernels.evaluate_pair_block(
-                get_plan(),
-                rows_of(cube_a),
-                rows_of(cube_b),
-                containing=True,
-                same_cube=cube_a == cube_b,
-                want_full=check_full,
-                want_compl=check_compl,
-                want_partial=False,
-            )
-            note_kernel(started, la * lb)
-            emit_containing_block(block)
-            return
-        scan_pair_python(cube_a, cube_b, check_full, check_compl)
-
-    with trace("cubemask.containing", cubes=len(lattice)):
-        if fused:
-            pass  # handled by the fused sweep below
-        elif children is not None:
-            # One fused pass over the prefetched children lists.  All of a
-            # parent's dominated cubes are batched into a single kernel
-            # call: full containment ignores cube boundaries, and equal
-            # code vectors imply equal signatures, so the complementarity
-            # check over the whole batch can only fire inside the parent
-            # cube itself — exactly the per-pair semantics, at a fraction
-            # of the per-call overhead.
-            if want_full or want_compl:
-                for parent in lattice.nodes:
-                    batch = [
-                        kid for kid in children[parent] if want_full or kid == parent
-                    ]
-                    if not batch:
-                        continue
-                    la = len(lattice.nodes[parent])
-                    total = 0
-                    for kid in batch:
-                        lb = len(lattice.nodes[kid])
-                        note_pair(la, lb, kid == parent)
-                        total += lb
-                    if use_kernel(la * total):
-                        rows_b = (
-                            rows_of(batch[0])
-                            if len(batch) == 1
-                            else np.concatenate([rows_of(kid) for kid in batch])
-                        )
-                        started = time.perf_counter_ns()
-                        block = _kernels.evaluate_pair_block(
-                            get_plan(),
-                            rows_of(parent),
-                            rows_b,
-                            containing=True,
-                            same_cube=True,
-                            want_full=want_full,
-                            want_compl=want_compl,
-                            want_partial=False,
-                        )
-                        note_kernel(started, la * total)
-                        emit_containing_block(block)
-                    else:
-                        for kid in batch:
-                            scan_pair_python(parent, kid, want_full, want_compl and kid == parent)
-        else:
-            # Separate sweeps, re-deriving cube dominance each time.
-            if want_full:
-                for cube_a, cube_b in dominating_pairs():
-                    scan_pair(cube_a, cube_b, True, False)
-            if want_compl:
-                for cube_a, cube_b in dominating_pairs():
-                    if cube_a == cube_b:
-                        scan_pair(cube_a, cube_b, False, True)
-
-    # ------------------------------------------------------------------
-    # Fused sweep: full + complementarity + partial over the partially
-    # dominating cube pairs in one pass (see the pass-structure note
-    # above).  Partners of each cube A are split into a *dominated*
-    # batch (signature dominance holds -> full/complementarity
-    # possible) and a *sideways* batch (partial only); each batch is
-    # one kernel call, so the bitset pass classifies every member pair
-    # exactly once.
-    # ------------------------------------------------------------------
-    if fused:
-        with trace("cubemask.fused", cubes=len(lattice)):
-            # Partial-dimension bitmasks ride in a single word, so wider
-            # buses keep the tuple-at-a-time extraction.
-            kernel_can_collect_dims = (
-                not collect_partial_dimensions or k <= _kernels.DIM_MASK_LIMIT
-            )
-            # Cube-level measure prefilter: full/partial containment
-            # needs a member measure overlap somewhere in the pair.
-            # Complementarity needs no measure overlap, but the prune
-            # can never lose it: measure sets are non-empty (enforced
-            # by ObservationSpace.add), so a cube always shares
-            # measures with itself.
-            cube_groups: dict = {
-                cube: sorted({int(assignment[i]) for i in members})
-                for cube, members in lattice.nodes.items()
-            }
-
-            def cubes_share_measures(ga, gb) -> bool:
-                return any(overlap[i, j] for i in ga for j in gb)
-
-            def dominates(sig_a, sig_b) -> bool:
-                return all(la <= lb for la, lb in zip(sig_a, sig_b))
-
-            def scan_fused_python(cube_a, cube_b, containing: bool) -> None:
-                same_cube = cube_a == cube_b
-                check_full = want_full and containing
-                check_compl = want_compl and containing and same_cube
-                for a in lattice.nodes[cube_a]:
-                    for b in lattice.nodes[cube_b]:
-                        if a == b:
-                            continue
-                        count = containment_count(a, b)
-                        shared = overlap[assignment[a], assignment[b]]
-                        if containing and count == k:
-                            if check_full and shared:
-                                result.add_full(uris[a], uris[b])
-                            if check_compl and a < b and codes[a] == codes[b]:
-                                result.add_complementary(uris[a], uris[b])
-                        elif shared and 0 < count < k:
-                            if collect_partial_dimensions:
-                                dims = frozenset(
-                                    dimensions[p]
-                                    for p in range(k)
-                                    if codes[a][p] in ancestor_sets[p][codes[b][p]]
-                                )
-                                result.add_partial(uris[a], uris[b], dims, count / k)
-                            else:
-                                result.add_partial(uris[a], uris[b], degree=count / k)
-
-            def emit_fused_block(block) -> None:
-                if block.full_a.size:
-                    result.full.update(
-                        (uris[a], uris[b])
-                        for a, b in zip(block.full_a.tolist(), block.full_b.tolist())
-                    )
-                if block.compl_a.size:
-                    for a, b in zip(block.compl_a.tolist(), block.compl_b.tolist()):
-                        result.add_complementary(uris[a], uris[b])
-                # Partial results stay columnar: one O(1) block append
-                # instead of millions of tuple/set/dict inserts (see
-                # RelationshipSet.add_partial_block).
-                result.add_partial_block(
-                    uris,
-                    block.partial_a,
-                    block.partial_b,
-                    block.partial_counts,
-                    k,
-                    block.partial_masks if collect_partial_dimensions else None,
-                    dimensions if collect_partial_dimensions else None,
-                )
-
-            # Group by cube A so surviving partners batch into (at
-            # most) two kernel calls each.
-            partners_by_a: dict = {}
-            for cube_a, cube_b in lattice.partial_pairs():
-                partners_by_a.setdefault(cube_a, []).append(cube_b)
-
-            split_batches = want_full or want_compl
-            for cube_a, partners in partners_by_a.items():
-                la = len(lattice.nodes[cube_a])
-                groups_a = cube_groups[cube_a]
-                dominated: list = []
-                sideways: list = []
-                total_dom = 0
-                total_side = 0
-                for cube_b in partners:
-                    lb = len(lattice.nodes[cube_b])
-                    if not cubes_share_measures(groups_a, cube_groups[cube_b]):
-                        counts["pruned_cube_pairs"] += 1
-                        counts["pruned_comparisons"] += la * lb
-                        continue
-                    note_pair(la, lb, cube_a == cube_b)
-                    if split_batches and dominates(cube_a, cube_b):
-                        dominated.append(cube_b)
-                        total_dom += lb
-                    else:
-                        sideways.append(cube_b)
-                        total_side += lb
-                for batch, total, containing in (
-                    (dominated, total_dom, True),
-                    (sideways, total_side, False),
-                ):
-                    if not batch:
-                        continue
-                    if kernel_can_collect_dims and use_kernel(la * total):
-                        rows_b = (
-                            rows_of(batch[0])
-                            if len(batch) == 1
-                            else np.concatenate([rows_of(cube_b) for cube_b in batch])
-                        )
-                        started = time.perf_counter_ns()
-                        # ``same_cube=True`` on the dominated batch is
-                        # safe across cube boundaries: equal code
-                        # vectors imply equal signatures, so the batch
-                        # complementarity check can only fire inside
-                        # cube A itself.
-                        block = _kernels.evaluate_pair_block(
-                            get_plan(),
-                            rows_of(cube_a),
-                            rows_b,
-                            containing=containing,
-                            same_cube=containing,
-                            want_full=want_full,
-                            want_compl=want_compl,
-                            want_partial=True,
-                            collect_partial_dimensions=collect_partial_dimensions,
-                        )
-                        note_kernel(started, la * total)
-                        emit_fused_block(block)
-                    else:
-                        for cube_b in batch:
-                            scan_fused_python(cube_a, cube_b, containing)
-
+    if len(space) and targets:
+        passes = [tuple(targets)] if prefetch_children else [(t,) for t in sorted(targets)]
+        for pass_targets in passes:
+            with trace("cubemask.plan", observations=len(space)):
+                state = build_cubemask_state(space, pass_targets, collect_partial_dimensions)
+            for key, value in state["counts"].items():
+                counts[key] = value if key == "cubes" else counts[key] + value
+            decode = space if collect_partial_dimensions and not state["collect_masks"] else None
+            with trace("cubemask.sweep", cube_pairs=len(state["pairs"])):
+                for block in score_pairs(state, state["pairs"], counts):
+                    emit_block(result, block, state["uris"], state["dimensions"], decode)
     _flush_counts(counts)
     if stats is not None:
         stats.update(counts)

@@ -1,17 +1,16 @@
-"""Vectorised cube-pair kernels over packed ancestor-closure bitsets.
+"""Vectorised cube-pair kernels over level-indexed ancestor codes.
 
 cubeMasking (Section 3.3, Algorithm 4) prunes the candidate space down
 to cube pairs whose level signatures admit a relationship; the *inner*
-loop then still has to test every member pair on every dimension.  The
-:class:`~repro.core.matrix.OccurrenceMatrix` already packs each
-observation's reflexive ancestor closure into ``uint8`` blocks — one
-bit per code-list value — so the per-dimension containment predicate
-``ancestors(a) ⊆ ancestors(b)`` is the byte-wise conditional function
-``a AND b == a`` of Algorithm 1.  This module evaluates a whole cube
-pair as one chunked broadcast AND-compare over those blocks:
+loop then still has to test every member pair on every dimension.
+Hierarchies are single-parent trees, so observation ``a`` contains
+``b`` on dimension ``p`` iff *b's ancestor at a's level is a's code* —
+one integer compare per pair and dimension.  This module evaluates a
+whole cube pair as chunked broadcast compares over that one predicate:
 
-* :func:`build_kernel_plan` assembles the packed blocks, integer code
-  ids and deduplicated measure-group tables for a space once,
+* :func:`build_kernel_plan` gathers the per-observation code ids,
+  levels and ancestor codes from per-distinct-code tables, plus the
+  deduplicated measure-group tables, once per space,
 * :func:`evaluate_pair_block` scores the member rows of cube A against
   cube B in bulk.  The partial/full pass stacks the per-dimension
   containment tests into one *bitset mask* per pair (bit ``p`` = cube
@@ -59,25 +58,17 @@ __all__ = [
     "reset_kernel_counters",
     "publish_arrays",
     "attach_arrays",
-    "DEFAULT_KERNEL_THRESHOLD",
     "DEFAULT_TILE_PAIRS",
     "DIM_MASK_LIMIT",
 ]
 
-#: ``kernel="auto"`` switches a cube pair to the numpy kernel once the
-#: member-count product reaches this value; below it the pure-Python
-#: loop's lower constant factor wins (see docs/performance.md for the
-#: measurement behind the default).
-DEFAULT_KERNEL_THRESHOLD = 128
-
 #: Rows of cube A evaluated per broadcast chunk — bounds the temporary
-#: ``(chunk, |B|, bytes)`` arrays exactly like ``OccurrenceMatrix``'s
-#: ``chunk`` parameter does for the baseline.
+#: ``(chunk, |B|)`` compare arrays.
 DEFAULT_CHUNK = 512
 
 #: Partial-dimension bitmasks (and the bitset partial pass) ride in a
-#: single unsigned word, so the bus is capped at 64 dimensions; wider
-#: buses fall back to per-dimension count accumulation (no dim masks).
+#: single unsigned word, so masks are capped at 64 dimensions; wider
+#: buses accumulate per-dimension counts instead (no dim masks).
 DIM_MASK_LIMIT = 64
 
 
@@ -113,7 +104,7 @@ def ensure_dim_mask_capacity(dimension_count: int) -> None:
         raise AlgorithmError(
             "partial-dimension bitmasks support at most "
             f"{DIM_MASK_LIMIT} dimensions; this bus has {dimension_count} "
-            "— use the pure-Python path"
+            "— evaluate without masks and decode map_P per pair"
         )
 
 
@@ -278,41 +269,29 @@ def measure_overlap_groups(space: ObservationSpace) -> tuple[np.ndarray, np.ndar
 # The kernel plan: every array the bulk evaluation needs.
 # ----------------------------------------------------------------------
 class KernelPlan:
-    """Packed per-space arrays for vectorised cube-pair evaluation.
+    """Per-space arrays for vectorised cube-pair evaluation.
 
-    ``packed``
-        ``(n, total_bytes)`` ``uint8`` — the per-dimension ancestor
-        closure blocks of the occurrence matrix, concatenated in bus
-        order; ``block_slices[p]`` is dimension ``p``'s byte range.
     ``code_ids``
         ``(n, k)`` ``int32`` — each observation's dimension values as
-        dense integer ids; two rows are equal iff the padded code
-        vectors are equal (the complementarity predicate).
+        dense per-dimension integer ids.
+    ``code_keys``
+        ``(n,)`` ``int32`` — dense ids of whole code vectors: two rows
+        are complementarity candidates iff their keys are equal.
     ``assignment`` / ``group_overlap``
         The measure-overlap prefilter of
         :func:`measure_overlap_groups`.
     ``levels`` / ``anc_codes`` / ``level_offsets``
-        The level-indexed ancestor-code tables.  Hierarchies are
-        single-parent trees, so ``a`` contains ``b`` on dimension ``p``
-        iff *b's ancestor at a's level is a* — ``anc_codes`` stores
+        The level-indexed ancestor-code tables.  ``anc_codes`` stores
         each observation's per-level ancestor code ids (``-1`` below
-        the observation's own level), turning the per-dimension
-        containment predicate into one O(1) integer compare per pair.
-        This is the kernel's fast path; ``None`` on plans rebuilt from
-        arrays that lack the tables.
-    ``words`` / ``word_slices``
-        When every dimension block is 8-byte aligned (always true for
-        plans built by :func:`build_kernel_plan`, which zero-pads each
-        block), ``packed`` reinterpreted as ``uint64`` words — the
-        AND-compare fallback then touches 8x fewer elements per pair.
-        ``None`` on unaligned layouts; the kernel falls back to bytes.
+        the observation's own level; dimension ``p`` occupies the
+        columns from ``level_offsets[p]``), so ``a`` contains ``b`` on
+        dimension ``p`` iff
+        ``anc_codes[b, level_offsets[p] + levels[a, p]] == code_ids[a, p]``.
     """
 
     __slots__ = (
         "dimensions",
         "k",
-        "packed",
-        "block_slices",
         "code_ids",
         "code_keys",
         "assignment",
@@ -320,27 +299,21 @@ class KernelPlan:
         "levels",
         "anc_codes",
         "level_offsets",
-        "words",
-        "word_slices",
     )
 
     def __init__(
         self,
         dimensions: tuple[URIRef, ...],
-        packed: np.ndarray,
-        block_slices: tuple[tuple[int, int], ...],
         code_ids: np.ndarray,
+        code_keys: np.ndarray,
         assignment: np.ndarray,
         group_overlap: np.ndarray,
-        code_keys: np.ndarray | None = None,
-        levels: np.ndarray | None = None,
-        anc_codes: np.ndarray | None = None,
-        level_offsets: tuple[int, ...] | None = None,
+        levels: np.ndarray,
+        anc_codes: np.ndarray,
+        level_offsets: tuple[int, ...],
     ):
         self.dimensions = dimensions
-        self.k = len(block_slices)
-        self.packed = packed
-        self.block_slices = block_slices
+        self.k = len(dimensions)
         self.code_ids = code_ids
         self.code_keys = code_keys
         self.assignment = assignment
@@ -348,115 +321,64 @@ class KernelPlan:
         self.levels = levels
         self.anc_codes = anc_codes
         self.level_offsets = level_offsets
-        self.words = None
-        self.word_slices = None
-        aligned = packed.shape[1] % 8 == 0 and all(
-            lo % 8 == 0 and hi % 8 == 0 for lo, hi in block_slices
-        )
-        if aligned:
-            try:
-                self.words = packed.view(np.uint64)
-                self.word_slices = tuple((lo // 8, hi // 8) for lo, hi in block_slices)
-            except ValueError:  # non-contiguous input: keep the byte path
-                self.words = None
 
     @property
     def n(self) -> int:
-        return self.packed.shape[0]
+        return self.code_ids.shape[0]
 
     def __repr__(self) -> str:
-        return (
-            f"KernelPlan(rows={self.n}, dimensions={self.k}, "
-            f"packed_bytes={self.packed.shape[1]})"
-        )
+        return f"KernelPlan(rows={self.n}, dimensions={self.k})"
 
 
 def build_kernel_plan(
     space: ObservationSpace,
-    matrix=None,
     *,
     collect_partial_dimensions: bool = False,
 ) -> KernelPlan:
-    """Assemble a :class:`KernelPlan`, reusing the occurrence matrix's
-    packed ``uint8`` blocks (built here if not supplied).
+    """Assemble a :class:`KernelPlan` for ``space``.
+
+    Each dimension's distinct codes are resolved once into a table row
+    (code id, level, ancestor codes from one parent-chain walk); every
+    observation row is then a numpy gather of its code's table row, so
+    the Python work is one dict lookup per observation and dimension.
 
     Pass ``collect_partial_dimensions=True`` when the plan will be
     asked for partial-dimension bitmasks: buses wider than
     :data:`DIM_MASK_LIMIT` dimensions are rejected here, at plan-build
     time, instead of mid-block.
     """
-    from repro.core.matrix import OccurrenceMatrix
-
     if collect_partial_dimensions:
         ensure_dim_mask_capacity(len(space.dimensions))
-    if matrix is None:
-        matrix = OccurrenceMatrix(space, backend="numpy")
-    elif matrix.backend != "numpy":
-        raise AlgorithmError("kernel plans need the numpy occurrence-matrix backend")
     n = len(space)
     dimensions = space.dimensions
-    # Each block is zero-padded to an 8-byte multiple so the plan can
-    # reinterpret the concatenation as uint64 words (padding bytes are
-    # inert for the a AND b == a predicate: 0 & x == 0).
-    blocks: list[np.ndarray] = []
-    slices: list[tuple[int, int]] = []
-    offset = 0
-    for dimension in dimensions:
-        block = matrix.packed_block(dimension)
-        width = block.shape[1]
-        padded = -(-max(width, 1) // 8) * 8
-        if padded != width:
-            block = np.concatenate(
-                [block, np.zeros((n, padded - width), dtype=np.uint8)], axis=1
-            )
-        blocks.append(block)
-        slices.append((offset, offset + padded))
-        offset += padded
-    packed = (
-        np.concatenate(blocks, axis=1)
-        if blocks
-        else np.zeros((n, 0), dtype=np.uint8)
-    )
+    widths = [space.hierarchies[dimension].max_level + 1 for dimension in dimensions]
+    level_offsets = tuple(int(offset) for offset in np.cumsum([0] + widths[:-1]))
     code_ids = np.zeros((n, len(dimensions)), dtype=np.int32)
-    for position, dimension in enumerate(dimensions):
-        index = matrix.feature_index[dimension]
-        column = code_ids[:, position]
-        for record in space.observations:
-            column[record.index] = index[record.codes[position]]
-    # Level-indexed ancestor-code tables (the kernel's fast path; see
-    # the KernelPlan docstring for the predicate they encode).
-    level_offsets: list[int] = []
-    level_widths: list[int] = []
-    total_levels = 0
-    for dimension in dimensions:
-        width = space.hierarchies[dimension].max_level + 1
-        level_offsets.append(total_levels)
-        level_widths.append(width)
-        total_levels += width
     levels = np.zeros((n, len(dimensions)), dtype=np.int32)
-    anc_codes = np.full((n, total_levels), -1, dtype=np.int32)
-    for position, dimension in enumerate(dimensions):
+    anc_codes = np.full((n, sum(widths)), -1, dtype=np.int32)
+    columns = list(zip(*(record.codes for record in space.observations))) or [()] * len(dimensions)
+    for position, (dimension, column) in enumerate(zip(dimensions, columns)):
         hierarchy = space.hierarchies[dimension]
-        index = matrix.feature_index[dimension]
+        distinct: dict = {}
+        inverse = np.fromiter(
+            (distinct.setdefault(code, len(distinct)) for code in column),
+            dtype=np.intp,
+            count=n,
+        )
+        ids: dict = {}
+        table = np.full((len(distinct), widths[position]), -1, dtype=np.int32)
+        table_levels = np.zeros(len(distinct), dtype=np.int32)
+        for row, code in enumerate(distinct):
+            depth = table_levels[row] = hierarchy.level(code)
+            node = code
+            while node is not None:
+                table[row, depth] = ids.setdefault(node, len(ids))
+                node = hierarchy.parent(node)
+                depth -= 1
+        levels[:, position] = table_levels[inverse]
+        code_ids[:, position] = table[np.arange(len(distinct)), table_levels][inverse]
         base = level_offsets[position]
-        width = level_widths[position]
-        rows_cache: dict = {}
-        for record in space.observations:
-            code = record.codes[position]
-            cached = rows_cache.get(code)
-            if cached is None:
-                row = np.full(width, -1, dtype=np.int32)
-                node = code
-                while node is not None:
-                    row[hierarchy.level(node)] = index[node]
-                    node = hierarchy.parent(node)
-                cached = (row, hierarchy.level(code))
-                rows_cache[code] = cached
-            anc_codes[record.index, base : base + width] = cached[0]
-            levels[record.index, position] = cached[1]
-    # Dense ids for whole code vectors: two observations are
-    # complementarity candidates iff their rows coincide, so one id
-    # compare replaces a k-column row comparison per pair.
+        anc_codes[:, base : base + widths[position]] = table[inverse]
     if n:
         _, inverse = np.unique(code_ids, axis=0, return_inverse=True)
         code_keys = np.ascontiguousarray(inverse.reshape(n), dtype=np.int32)
@@ -465,15 +387,13 @@ def build_kernel_plan(
     assignment, group_overlap = measure_overlap_groups(space)
     return KernelPlan(
         dimensions=dimensions,
-        packed=np.ascontiguousarray(packed),
-        block_slices=tuple(slices),
         code_ids=code_ids,
+        code_keys=code_keys,
         assignment=assignment,
         group_overlap=group_overlap,
-        code_keys=code_keys,
         levels=levels,
         anc_codes=anc_codes,
-        level_offsets=tuple(level_offsets),
+        level_offsets=level_offsets,
     )
 
 
@@ -620,7 +540,7 @@ def evaluate_pair_block(
     L2-resident.  Results come back as index *arrays* (see
     :class:`PairBlockResult`) — self pairs excluded, full and partial
     containment gated on the measure-overlap mask, complementarity on
-    equal code-id rows with ``a < b``, exactly as the pure-Python path.
+    equal code vectors with ``a < b``.
 
     ``containing`` states whether cube A's signature dominates cube
     B's (full containment and complementarity are impossible
@@ -642,25 +562,10 @@ def evaluate_pair_block(
     check_compl = want_compl and containing and same_cube
     budget = max(1, int(tile_pairs)) if tile_pairs else DEFAULT_TILE_PAIRS
 
-    need_blocks = check_full or want_partial
-    use_anc = plan.anc_codes is not None and plan.levels is not None and need_blocks
-    if use_anc:
-        anc_b = plan.anc_codes[rows_b]
-        col_base = np.asarray(plan.level_offsets, dtype=np.int32)
-        data = data_b = slices = None
-    else:
-        # AND-compare fallback over the packed blocks; prefer the
-        # uint64 word view: identical semantics (AND/compare are
-        # bytewise), 8x fewer elements per pair.
-        if plan.words is not None:
-            data, slices = plan.words, plan.word_slices
-        else:
-            data, slices = plan.packed, plan.block_slices
-        data_b = data[rows_b] if need_blocks else None
-    use_keys = check_compl and plan.code_keys is not None
-    if check_compl:
-        keys_b = plan.code_keys[rows_b] if use_keys else None
-        codes_b = None if use_keys else plan.code_ids[rows_b]
+    need_codes = check_full or want_partial
+    anc_b = plan.anc_codes[rows_b] if need_codes else None
+    col_base = np.asarray(plan.level_offsets, dtype=np.int32)
+    keys_b = plan.code_keys[rows_b] if check_compl else None
     assign_b = plan.assignment[rows_b]
 
     # A-chunk / B-tile sizing.  The partial pass tiles B, so its A
@@ -692,42 +597,30 @@ def evaluate_pair_block(
         rows = rows_a[start : start + ca_max]
         ca = len(rows)
         assign_a = plan.assignment[rows]
-        data_a = codes_a = cols_a = None
-        if need_blocks:
-            if use_anc:
-                codes_a = plan.code_ids[rows]
-                cols_a = plan.levels[rows] + col_base[None, :]
-            else:
-                data_a = data[rows]
+        if need_codes:
+            codes_a = plan.code_ids[rows]
+            cols_a = plan.levels[rows] + col_base[None, :]
+
+        def dim_contains(position: int, anc: np.ndarray) -> np.ndarray:
+            """(ca, len(anc)) containment matrix of one dimension."""
+            col = cols_a[:, position]
+            first = col[0]
+            if (col == first).all():
+                # All A rows sit on the same level (always true when
+                # rows_a is one cube): one anc column, pure broadcast
+                # compare — no gather.
+                return anc[:, first][None, :] == codes_a[:, position][:, None]
+            return (anc[:, col] == codes_a[:, position]).T
 
         if want_partial:
             for bstart in range(0, lb, b_tile):
                 bstop = min(lb, bstart + b_tile)
                 rows_bt = rows_b[bstart:bstop]
-                anc_bt = anc_b[bstart:bstop] if use_anc else None
-                data_bt = None if use_anc else data_b[bstart:bstop]
+                anc_bt = anc_b[bstart:bstop]
                 valid = plan.group_overlap[
                     assign_a[:, None], assign_b[bstart:bstop][None, :]
                 ]
                 valid &= rows[:, None] != rows_bt[None, :]
-
-                def dim_contains_tile(position: int) -> np.ndarray:
-                    """(ca, tile) containment matrix of one dimension."""
-                    if use_anc:
-                        col = cols_a[:, position]
-                        first = col[0]
-                        if (col == first).all():
-                            # All A rows sit on the same level (always
-                            # true when rows_a is one cube): one anc
-                            # column, pure broadcast compare — no gather.
-                            return (
-                                anc_bt[:, first][None, :]
-                                == codes_a[:, position][:, None]
-                            )
-                        return (anc_bt[:, col] == codes_a[:, position]).T
-                    lo, hi = slices[position]
-                    left = data_a[:, None, lo:hi]
-                    return ((left & data_bt[None, :, lo:hi]) == left).all(axis=2)
 
                 if mdtype is not None:
                     # Bitset pass: one mask accumulates every dimension;
@@ -735,7 +628,7 @@ def evaluate_pair_block(
                     # out of it.
                     mask = np.zeros((ca, bstop - bstart), dtype=mdtype)
                     for position in range(k):
-                        contains = dim_contains_tile(position)
+                        contains = dim_contains(position, anc_bt)
                         mask |= contains.astype(mdtype) << mdtype(position)
                     if check_full:
                         sel = mask == full_value
@@ -763,7 +656,7 @@ def evaluate_pair_block(
                     # rejected up front by ensure_dim_mask_capacity).
                     counts = np.zeros((ca, bstop - bstart), dtype=np.int32)
                     for position in range(k):
-                        counts += dim_contains_tile(position)
+                        counts += dim_contains(position, anc_bt)
                     if check_full:
                         ia, ib = np.nonzero((counts == k) & valid)
                         if ia.size:
@@ -777,56 +670,23 @@ def evaluate_pair_block(
         elif check_full:
             # No counts needed -> dimension-ordered sifting: evaluate
             # dimension 0 over the whole block, then re-test only the
-            # survivors on each further dimension (the vectorised twin
-            # of the Python loop's early exit — most pairs die on the
-            # first dimension).
-            overlap = plan.group_overlap[assign_a[:, None], assign_b[None, :]]
-            not_self = rows[:, None] != rows_b[None, :]
-
-            def dim_contains(position: int) -> np.ndarray:
-                """(ca, lb) containment matrix of one dimension."""
-                if use_anc:
-                    col = cols_a[:, position]
-                    first = col[0]
-                    if (col == first).all():
-                        return anc_b[:, first][None, :] == codes_a[:, position][:, None]
-                    return (anc_b[:, col] == codes_a[:, position]).T
-                lo, hi = slices[position]
-                left = data_a[:, None, lo:hi]
-                return ((left & data_b[None, :, lo:hi]) == left).all(axis=2)
-
-            def dim_contains_at(position: int, idx_a, idx_b) -> np.ndarray:
-                """Containment on one dimension for selected (a, b) pairs."""
-                if use_anc:
-                    return (
-                        anc_b[idx_b, cols_a[idx_a, position]]
-                        == codes_a[idx_a, position]
-                    )
-                lo, hi = slices[position]
-                left = data_a[idx_a, lo:hi]
-                return ((left & data_b[idx_b, lo:hi]) == left).all(axis=1)
-
-            if k == 0:
-                idx_a, idx_b = np.nonzero(overlap & not_self)
-            else:
-                contains = dim_contains(0) & overlap
-                contains &= not_self
-                idx_a, idx_b = np.nonzero(contains)
-                for position in range(1, k):
-                    if idx_a.size == 0:
-                        break
-                    keep = dim_contains_at(position, idx_a, idx_b)
-                    idx_a, idx_b = idx_a[keep], idx_b[keep]
+            # survivors on each further dimension (most pairs die on
+            # the first dimension).
+            contains = plan.group_overlap[assign_a[:, None], assign_b[None, :]]
+            contains &= rows[:, None] != rows_b[None, :]
+            if k:
+                contains &= dim_contains(0, anc_b)
+            idx_a, idx_b = np.nonzero(contains)
+            for position in range(1, k):
+                if idx_a.size == 0:
+                    break
+                keep = anc_b[idx_b, cols_a[idx_a, position]] == codes_a[idx_a, position]
+                idx_a, idx_b = idx_a[keep], idx_b[keep]
             if idx_a.size:
                 full_a_parts.append(rows[idx_a])
                 full_b_parts.append(rows_b[idx_b])
         if check_compl:
-            if use_keys:
-                equal = plan.code_keys[rows][:, None] == keys_b[None, :]
-            else:
-                equal = (plan.code_ids[rows][:, None, :] == codes_b[None, :, :]).all(
-                    axis=2
-                )
+            equal = plan.code_keys[rows][:, None] == keys_b[None, :]
             equal &= rows[:, None] < rows_b[None, :]
             ia, ib = np.nonzero(equal)
             if ia.size:

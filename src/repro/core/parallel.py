@@ -1,30 +1,29 @@
 """Parallel cubeMasking (the paper's "distributed and parallel
 contexts" future-work item, §6), hardened against worker failure.
 
-The cube lattice gives a natural work partition: dominating cube pairs
-are independent, so they can be scored in worker processes.  Instead
-of pickling the observation space into every worker, the parent
-publishes the kernel-plan arrays (packed ancestor-closure blocks,
-code-id rows, measure-group tables, cube membership and the cube-pair
-order) once in a :mod:`multiprocessing.shared_memory` segment; each
-worker attaches read-only — the pool-initializer payload is the
-segment name plus an O(metadata) layout dict, independent of the
-observation count.  Workers batch contiguous same-cube-A runs of the
-deterministic cube-pair order into single calls of the vectorised
-kernel over the shm-attached plan arrays (or the tuple-at-a-time
-fallback, per the ``kernel`` mode) and return *columnar*
-observation-index arrays plus their kernel-counter delta; the parent
-maps indices back to URIs (partial results stay columnar all the way
-into :meth:`RelationshipSet.add_partial_block`), folds the worker
-counters into the process-wide ``repro_kernel_*`` series, and merges.
-Parallelism therefore *composes* with vectorisation: every worker
-runs the same bitset kernel the sequential numpy path runs.  The
+This module spreads the one cubeMasking sweep of
+:mod:`repro.core.cubemask` across processes: the parent plans, worker
+processes score contiguous ranges of the planned cube-pair order with
+the same executor, and the module adds only what a pool needs —
+shared-memory publication, the pool itself, retries and degradation.
+Instead of pickling the observation space into every worker, the
+parent publishes the plan arrays (code ids and keys, level-indexed
+ancestor codes, measure-group tables, cube membership and the
+cube-pair order) once in a :mod:`multiprocessing.shared_memory`
+segment; each worker attaches read-only — the pool-initializer payload
+is the segment name plus an O(metadata) layout dict, independent of
+the observation count.  Workers concatenate their blocks into one
+*columnar* :class:`~repro.core.kernels.PairBlockResult` per range plus
+their kernel-counter delta; the parent maps indices back to URIs
+(partial results stay columnar all the way into
+:meth:`RelationshipSet.add_partial_block`), folds the worker counters
+into the process-wide ``repro_kernel_*`` series, and merges.  The
 output is always identical to
 :func:`repro.core.cubemask.compute_cubemask`.
 
 Process startup still carries real overhead, so this pays off only on
 multi-core hosts with larger inputs — small spaces fall back to the
-sequential implementation below ``min_parallel_observations``.
+sequential path below ``min_parallel_observations``.
 
 Fault tolerance (the resilience layer's contract):
 
@@ -35,7 +34,7 @@ Fault tolerance (the resilience layer's contract):
   abandons the pool and the range is retried;
 * after repeated failures the computation *degrades gracefully*: the
   remaining ranges are scored sequentially in the parent with the same
-  code path, so a flaky pool can never fail a run that sequential
+  executor, so a flaky pool can never fail a run that sequential
   cubeMasking would finish (set ``fallback_sequential=False`` to get
   :class:`~repro.errors.WorkerCrashError` /
   :class:`~repro.errors.UnitTimeoutError` instead);
@@ -60,15 +59,19 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
 from repro.errors import UnitTimeoutError, WorkerCrashError
 from repro.core import kernels as _kernels
-from repro.core.cubemask import KERNEL_MODES, compute_cubemask
-from repro.core.lattice import CubeLattice
+from repro.core.cubemask import (
+    _flush_counts,
+    build_cubemask_state,
+    check_kernel,
+    compute_cubemask,
+    emit_block,
+    score_pairs,
+    score_range,
+)
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
-from repro.errors import AlgorithmError
 from repro.obs.logging import get_logger
 from repro.obs.spanstore import SPAN_DIR_ENV
 from repro.obs.tracing import (
@@ -81,9 +84,7 @@ from repro.obs.tracing import (
 
 __all__ = [
     "compute_cubemask_parallel",
-    "build_cubemask_state",
     "prepare_shared_fanout",
-    "score_range",
     "enumerate_unit_ranges",
 ]
 
@@ -129,173 +130,40 @@ _WORKER_STATE: dict = {}
 
 _BACKOFF_CAP = 30.0
 
-#: Arrays of ``build_cubemask_state`` published into the shared
-#: segment (everything a worker needs that scales with the input).
-_SHARED_ARRAYS = (
-    "packed",
-    "code_ids",
-    "code_keys",
-    "assignment",
-    "group_overlap",
-    "levels",
-    "anc_codes",
-    "signatures",
-    "members",
-    "cube_offsets",
-    "pairs",
+#: Plan and cube arrays published into the shared segment (everything
+#: a worker needs that scales with the input).
+_PLAN_ARRAYS = ("code_ids", "code_keys", "assignment", "group_overlap", "levels", "anc_codes")
+_CUBE_ARRAYS = ("signatures", "members", "cube_offsets", "pairs")
+
+#: Columns of a :class:`~repro.core.kernels.PairBlockResult` and the
+#: empty array each one defaults to.
+_BLOCK_COLUMNS = (
+    ("full_a", _kernels._EMPTY_IDX),
+    ("full_b", _kernels._EMPTY_IDX),
+    ("compl_a", _kernels._EMPTY_IDX),
+    ("compl_b", _kernels._EMPTY_IDX),
+    ("partial_a", _kernels._EMPTY_IDX),
+    ("partial_b", _kernels._EMPTY_IDX),
+    ("partial_counts", _kernels._EMPTY_COUNTS),
 )
 
 
-def _enumerate_pairs(signatures: np.ndarray, want_partial: bool, chunk: int = 256) -> np.ndarray:
-    """Deterministic candidate cube-pair order shared by all workers.
-
-    Row-major ``(i, j)`` over the sorted cubes, keeping pairs where
-    cube i dominates cube j (pointwise ``<=``) or — when partial
-    containment is requested — dominates on at least one dimension;
-    exactly the order the per-pair loop used to produce, computed as a
-    chunked signature broadcast.
-    """
-    count = len(signatures)
-    if count == 0:
-        return np.zeros((0, 2), dtype=np.int32)
-    out: list[np.ndarray] = []
-    for start in range(0, count, chunk):
-        le = signatures[start : start + chunk, None, :] <= signatures[None, :, :]
-        admissible = le.all(axis=2)
-        if want_partial:
-            admissible |= le.any(axis=2)
-        hits = np.argwhere(admissible)
-        hits[:, 0] += start
-        out.append(hits)
-    return np.ascontiguousarray(np.concatenate(out), dtype=np.int32)
-
-
-def build_cubemask_state(
-    space: ObservationSpace,
-    targets: tuple[str, ...],
-    kernel: str = "auto",
-    kernel_threshold: int | None = None,
-    collect_partial_dimensions: bool = False,
-) -> dict:
-    """Shared scoring state for a fixed space + target set.
-
-    Used by the shared-memory publication, in-process by the
-    sequential degradation path, and by the materialisation runner —
-    one code path, one deterministic cube-pair order.  The cube-pair
-    order mirrors :func:`~repro.core.cubemask.compute_cubemask`'s pass
-    structure: pairs its sweeps would prune (measure-disjoint cubes on
-    partial runs, off-diagonal pairs on complementarity-only runs) are
-    filtered out here, and the resulting pruning breakdown is
-    precomputed under ``state["counts"]`` so parallel stats stay
-    path-independent.
-    """
-    from repro.core.cubemask import STAT_KEYS
-
-    if kernel not in KERNEL_MODES:
-        raise AlgorithmError(f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}")
-    lattice = CubeLattice(space)
-    cubes = sorted(lattice.nodes)
-    k = len(space.dimensions)
-    signatures = np.asarray(cubes, dtype=np.int16).reshape(len(cubes), k)
-    member_lists = [lattice.nodes[cube] for cube in cubes]
-    cube_offsets = np.zeros(len(cubes) + 1, dtype=np.int64)
-    if member_lists:
-        cube_offsets[1:] = np.cumsum([len(members) for members in member_lists])
-    members = (
-        np.concatenate([np.asarray(m, dtype=np.int32) for m in member_lists])
-        if member_lists
-        else np.zeros(0, dtype=np.int32)
-    )
-    plan = _kernels.build_kernel_plan(
-        space, collect_partial_dimensions=collect_partial_dimensions
-    )
-    want_full = "full" in targets
-    want_partial = "partial" in targets
-    pairs = _enumerate_pairs(signatures, want_partial)
-
-    counts = {key: 0 for key in STAT_KEYS}
-    counts["cubes"] = len(cubes)
-    sizes = np.diff(cube_offsets)
-    index_a, index_b = pairs[:, 0], pairs[:, 1]
-    la, lb = sizes[index_a], sizes[index_b]
-    same = index_a == index_b
-    keep = None
-    if want_partial and k >= 1:
-        # Cube-level measure prefilter, mirroring the fused sweep: a
-        # pair survives when some member measure-groups overlap (always
-        # true for same-cube pairs — measure sets are non-empty, so
-        # complementarity is never lost).
-        group_count = plan.group_overlap.shape[0]
-        cube_group = np.zeros((len(cubes), group_count), dtype=np.int32)
-        for position, member_list in enumerate(member_lists):
-            if member_list:
-                rows = np.asarray(member_list, dtype=np.int64)
-                cube_group[position, plan.assignment[rows]] = 1
-        # keep[p] = any overlap between cube A's and cube B's groups,
-        # as a per-pair row dot against the overlap-reachable groups —
-        # no |cubes|² share matrix is ever materialised.
-        reach = cube_group @ plan.group_overlap.astype(np.int32)
-        keep = np.einsum("ij,ij->i", reach[index_a], cube_group[index_b]) > 0
-        counts["pruned_cube_pairs"] = int((~keep).sum())
-        counts["pruned_comparisons"] = int((la * lb)[~keep].sum())
-    elif not want_full and len(pairs):
-        # Complementarity only: it lives inside one cube, so
-        # off-diagonal dominating pairs cannot produce anything (the
-        # prefetched sequential pass never visits them either).
-        keep = same
-    if keep is not None:
-        pairs = np.ascontiguousarray(pairs[keep])
-        la, lb, same = la[keep], lb[keep], same[keep]
-    diagonal = np.where(same, la, 0)
-    counts["cube_pairs"] = len(pairs)
-    counts["instance_comparisons"] = int((la * lb - diagonal).sum())
-    counts["pruned_comparisons"] += int(diagonal.sum())
-    return dict(
-        plan=plan,
-        packed=plan.packed,
-        code_ids=plan.code_ids,
-        code_keys=plan.code_keys,
-        assignment=plan.assignment,
-        group_overlap=plan.group_overlap,
-        levels=plan.levels,
-        anc_codes=plan.anc_codes,
-        signatures=signatures,
-        members=members,
-        cube_offsets=cube_offsets,
-        pairs=pairs,
-        targets=frozenset(targets),
-        k=k,
-        dimensions=space.dimensions,
-        kernel=kernel,
-        kernel_threshold=(
-            _kernels.DEFAULT_KERNEL_THRESHOLD if kernel_threshold is None else kernel_threshold
-        ),
-        collect_partial_dimensions=collect_partial_dimensions,
-        counts=counts,
-        uris=[record.uri for record in space.observations],
-    )
-
-
 def prepare_shared_fanout(state: dict):
-    """Publish a state's arrays; returns ``(segment, initializer_meta)``.
+    """Publish a plan's arrays; returns ``(segment, initializer_meta)``.
 
     ``initializer_meta`` is everything a worker needs besides the
     segment name — the array layout plus O(k) plan metadata — so the
     per-worker payload does not scale with the observation count.
     """
-    segment, layout = _kernels.publish_arrays(
-        {name: state[name] for name in _SHARED_ARRAYS}
-    )
+    arrays = {name: getattr(state["plan"], name) for name in _PLAN_ARRAYS}
+    arrays.update((name, state[name]) for name in _CUBE_ARRAYS)
+    segment, layout = _kernels.publish_arrays(arrays)
     meta = dict(
         layout=layout,
-        block_slices=state["plan"].block_slices,
         level_offsets=state["plan"].level_offsets,
         dimensions=state["dimensions"],
         targets=tuple(sorted(state["targets"])),
-        k=state["k"],
-        kernel=state["kernel"],
-        kernel_threshold=state["kernel_threshold"],
-        collect_partial_dimensions=state.get("collect_partial_dimensions", False),
+        collect_masks=state["collect_masks"],
         # Workers inherit the parent's trace ID so their log records
         # (and any spans they open) correlate with the run, plus the
         # parent's open span ID so worker-side spans parent onto the
@@ -333,254 +201,41 @@ def _initializer(segment_name: str, meta: dict, fault_plan=None) -> None:
     segment, views = _kernels.attach_arrays(segment_name, meta["layout"])
     plan = _kernels.KernelPlan(
         dimensions=meta["dimensions"],
-        packed=views["packed"],
-        block_slices=meta["block_slices"],
-        code_ids=views["code_ids"],
-        code_keys=views["code_keys"],
-        assignment=views["assignment"],
-        group_overlap=views["group_overlap"],
-        levels=views["levels"],
-        anc_codes=views["anc_codes"],
         level_offsets=meta["level_offsets"],
+        **{name: views[name] for name in _PLAN_ARRAYS},
     )
     _WORKER_STATE.clear()
     _WORKER_STATE.update(
+        {name: views[name] for name in _CUBE_ARRAYS},
         # the segment reference keeps the mapping alive for the views
         segment=segment,
         plan=plan,
-        signatures=views["signatures"],
-        members=views["members"],
-        cube_offsets=views["cube_offsets"],
-        pairs=views["pairs"],
         targets=frozenset(meta["targets"]),
-        k=meta["k"],
-        kernel=meta["kernel"],
-        kernel_threshold=meta["kernel_threshold"],
-        collect_partial_dimensions=meta.get("collect_partial_dimensions", False),
+        collect_masks=meta["collect_masks"],
         fault_plan=fault_plan,
     )
 
 
-def _empty_payload(collect_masks: bool) -> dict:
-    return dict(
-        full_a=_kernels._EMPTY_IDX,
-        full_b=_kernels._EMPTY_IDX,
-        compl_a=_kernels._EMPTY_IDX,
-        compl_b=_kernels._EMPTY_IDX,
-        partial_a=_kernels._EMPTY_IDX,
-        partial_b=_kernels._EMPTY_IDX,
-        partial_counts=_kernels._EMPTY_COUNTS,
-        partial_masks=_kernels._EMPTY_MASKS if collect_masks else None,
-        counters={"kernel_calls": 0, "kernel_pairs": 0, "kernel_ns": 0},
-    )
-
-
-def _score_pairs(state: dict, pair_rows) -> dict:
-    """Evaluate a slice of the shared cube-pair order.
-
-    Returns a *columnar* payload of observation-index arrays
-    (``full_a``/``full_b``, ``compl_a``/``compl_b``,
-    ``partial_a``/``partial_b``/``partial_counts`` and — when
-    partial-dimension collection is on — ``partial_masks``) plus the
-    kernel-counter delta the slice produced, so worker results stay
-    integer-sized and the parent can fold counters without guessing.
-
-    Contiguous same-cube-A runs of the deterministic pair order are
-    batched into (at most) two kernel calls each — a *dominated* batch
-    (full/complementarity possible) and a *sideways* batch (partial
-    only) — exactly mirroring the sequential fused sweep, so every
-    member pair goes through the same bitset pass it would take
-    sequentially.
-    """
-    plan: _kernels.KernelPlan = state["plan"]
-    signatures = state["signatures"]
-    members = state["members"]
-    cube_offsets = state["cube_offsets"]
-    targets = state["targets"]
-    k = state["k"]
-    kernel = state["kernel"]
-    threshold = state["kernel_threshold"]
-    collect_masks = bool(state.get("collect_partial_dimensions")) and k <= _kernels.DIM_MASK_LIMIT
-
-    want_full = "full" in targets
-    want_compl = "complementary" in targets
-    want_partial = "partial" in targets
-
-    pair_rows = np.asarray(pair_rows)
-    if pair_rows.size == 0:
-        return _empty_payload(collect_masks)
-    before = _kernels.kernel_counters()
-
-    parts: dict[str, list] = {name: [] for name in (
-        "full_a", "full_b", "compl_a", "compl_b",
-        "partial_a", "partial_b", "partial_counts", "partial_masks",
-    )}
-    # Python-fallback accumulators, converted to arrays once at the end.
-    py: dict[str, list] = {name: [] for name in parts}
-
-    packed = plan.packed
-    code_ids = plan.code_ids
-    assignment = plan.assignment
-    group_overlap = plan.group_overlap
-    block_slices = plan.block_slices
-
-    def scan_python(rows_a, rows_b, containing: bool) -> None:
-        # Tuple-at-a-time fallback over the same packed representation.
-        for a in rows_a:
-            row_a = packed[a]
-            for b in rows_b:
-                if a == b:
-                    continue
-                count = 0
-                mask = 0
-                for position, (lo, hi) in enumerate(block_slices):
-                    piece = row_a[lo:hi]
-                    if ((piece & packed[b, lo:hi]) == piece).all():
-                        count += 1
-                        mask |= 1 << position
-                shared = group_overlap[assignment[a], assignment[b]]
-                if containing and count == k:
-                    if want_full and shared:
-                        py["full_a"].append(int(a))
-                        py["full_b"].append(int(b))
-                    if want_compl and a < b and (code_ids[a] == code_ids[b]).all():
-                        py["compl_a"].append(int(a))
-                        py["compl_b"].append(int(b))
-                elif want_partial and shared and 0 < count < k:
-                    py["partial_a"].append(int(a))
-                    py["partial_b"].append(int(b))
-                    py["partial_counts"].append(count)
-                    if collect_masks:
-                        py["partial_masks"].append(mask)
-
-    # Group the (sorted, row-major) slice into contiguous same-cube-A
-    # runs; each run becomes at most two batched kernel calls.
-    column_a = pair_rows[:, 0]
-    run_bounds = np.flatnonzero(np.diff(column_a)) + 1
-    run_starts = np.concatenate(([0], run_bounds))
-    partner_groups = np.split(pair_rows[:, 1], run_bounds)
-    split_batches = want_full or want_compl
-    for start, partners in zip(run_starts, partner_groups):
-        index_a = int(column_a[start])
-        rows_a = members[cube_offsets[index_a] : cube_offsets[index_a + 1]]
-        la = len(rows_a)
-        if split_batches:
-            dominated = (signatures[index_a][None, :] <= signatures[partners]).all(axis=1)
-            batches = ((partners[dominated], True), (partners[~dominated], False))
-        else:
-            batches = ((partners, False),)
-        for batch, containing in batches:
-            if len(batch) == 0:
-                continue
-            rows_b = (
-                members[cube_offsets[batch[0]] : cube_offsets[batch[0] + 1]]
-                if len(batch) == 1
-                else np.concatenate(
-                    [members[cube_offsets[p] : cube_offsets[p + 1]] for p in batch]
-                )
-            )
-            total = len(rows_b)
-            use_kernel = kernel == "numpy" or (kernel == "auto" and la * total >= threshold)
-            if use_kernel:
-                # ``same_cube=containing`` batches the complementarity
-                # check safely across cube boundaries: equal code
-                # vectors imply equal signatures, so it can only fire
-                # inside cube A itself.
-                block = _kernels.evaluate_pair_block(
-                    plan,
-                    rows_a,
-                    rows_b,
-                    containing=containing,
-                    same_cube=containing,
-                    want_full=want_full,
-                    want_compl=want_compl,
-                    want_partial=want_partial,
-                    collect_partial_dimensions=collect_masks,
-                )
-                parts["full_a"].append(block.full_a)
-                parts["full_b"].append(block.full_b)
-                parts["compl_a"].append(block.compl_a)
-                parts["compl_b"].append(block.compl_b)
-                parts["partial_a"].append(block.partial_a)
-                parts["partial_b"].append(block.partial_b)
-                parts["partial_counts"].append(block.partial_counts)
-                if collect_masks:
-                    parts["partial_masks"].append(block.partial_masks)
-            else:
-                scan_python(rows_a, rows_b, containing)
-
-    for name, dtype in (
-        ("full_a", np.int64),
-        ("full_b", np.int64),
-        ("compl_a", np.int64),
-        ("compl_b", np.int64),
-        ("partial_a", np.int64),
-        ("partial_b", np.int64),
-        ("partial_counts", np.int32),
-        ("partial_masks", np.uint64),
-    ):
-        if py[name]:
-            parts[name].append(np.asarray(py[name], dtype=dtype))
-    after = _kernels.kernel_counters()
-    return dict(
-        full_a=_kernels._cat(parts["full_a"], _kernels._EMPTY_IDX),
-        full_b=_kernels._cat(parts["full_b"], _kernels._EMPTY_IDX),
-        compl_a=_kernels._cat(parts["compl_a"], _kernels._EMPTY_IDX),
-        compl_b=_kernels._cat(parts["compl_b"], _kernels._EMPTY_IDX),
-        partial_a=_kernels._cat(parts["partial_a"], _kernels._EMPTY_IDX),
-        partial_b=_kernels._cat(parts["partial_b"], _kernels._EMPTY_IDX),
-        partial_counts=_kernels._cat(parts["partial_counts"], _kernels._EMPTY_COUNTS),
-        partial_masks=(
-            _kernels._cat(parts["partial_masks"], _kernels._EMPTY_MASKS)
-            if collect_masks
-            else None
-        ),
-        counters={key: after[key] - before[key] for key in before},
-    )
-
-
-def _payload_to_delta(uris, k: int, dimensions, payload: dict) -> RelationshipSet:
-    """Map a columnar worker payload back to a URI-level delta.
-
-    Full/complementary pairs are few and materialise eagerly; the
-    (potentially huge) partial block stays columnar all the way into
-    :meth:`RelationshipSet.add_partial_block`.
-    """
-    delta = RelationshipSet()
-    if payload["full_a"].size:
-        delta.full.update(
-            (uris[a], uris[b])
-            for a, b in zip(payload["full_a"].tolist(), payload["full_b"].tolist())
-        )
-    for a, b in zip(payload["compl_a"].tolist(), payload["compl_b"].tolist()):
-        delta.add_complementary(uris[a], uris[b])
-    masks = payload.get("partial_masks")
-    delta.add_partial_block(
-        uris,
-        payload["partial_a"],
-        payload["partial_b"],
-        payload["partial_counts"],
-        k,
-        masks,
-        dimensions if masks is not None else None,
-    )
-    return delta
-
-
-def score_range(state: dict, start: int, stop: int) -> RelationshipSet:
-    """Score ``state['pairs'][start:stop]`` into a relationship delta."""
-    payload = _score_pairs(state, state["pairs"][start:stop])
-    return _payload_to_delta(state["uris"], state["k"], state["dimensions"], payload)
-
-
 def _execute_unit(descriptor: tuple[int, int, int]):
-    """Worker entry point: fault hook, then score the range."""
+    """Worker entry point: fault hook, then score the range into one
+    columnar block plus this process's kernel-counter delta."""
     unit_id, start, stop = descriptor
     plan = _WORKER_STATE.get("fault_plan")
     if plan is not None:
         plan.before_unit(unit_id, in_worker=True)
-    payload = _score_pairs(_WORKER_STATE, _WORKER_STATE["pairs"][start:stop])
-    return unit_id, payload
+    before = _kernels.kernel_counters()
+    blocks = list(score_pairs(_WORKER_STATE, _WORKER_STATE["pairs"][start:stop]))
+    after = _kernels.kernel_counters()
+    columns = {
+        name: _kernels._cat([getattr(block, name) for block in blocks], empty)
+        for name, empty in _BLOCK_COLUMNS
+    }
+    if _WORKER_STATE["collect_masks"]:
+        columns["partial_masks"] = _kernels._cat(
+            [block.partial_masks for block in blocks], _kernels._EMPTY_MASKS
+        )
+    counters = {key: after[key] - before[key] for key in before}
+    return unit_id, _kernels.PairBlockResult(**columns), counters
 
 
 def compute_cubemask_parallel(
@@ -590,7 +245,6 @@ def compute_cubemask_parallel(
     collect_partial_dimensions: bool = False,
     targets=None,
     min_parallel_observations: int = 512,
-    batch_size: int = 256,
     unit_size: int | None = None,
     max_retries: int = 2,
     retry_backoff: float = 0.1,
@@ -600,229 +254,171 @@ def compute_cubemask_parallel(
     completed_units=(),
     fallback_sequential: bool = True,
     kernel: str = "auto",
-    kernel_threshold: int | None = None,
     stats: dict | None = None,
 ) -> RelationshipSet:
     """cubeMasking with cube-pair ranges scored in worker processes.
 
     Produces exactly the sequential result; falls back to the
-    sequential implementation for small inputs where process startup
-    would dominate.  See the module docstring for the zero-copy
-    fan-out, the fault-tolerance contract (``max_retries``,
-    ``retry_backoff``, ``unit_timeout``, ``fallback_sequential``) and
-    the checkpoint hooks (``unit_size``, ``on_unit_complete``,
-    ``completed_units``).  ``kernel``/``kernel_threshold`` select the
-    per-cube-pair instance-check path exactly as in
+    sequential path for small inputs where process startup would
+    dominate, and for buses too wide for single-word partial-dimension
+    masks.  See the module docstring for the zero-copy fan-out, the
+    fault-tolerance contract (``max_retries``, ``retry_backoff``,
+    ``unit_timeout``, ``fallback_sequential``) and the checkpoint hooks
+    (``unit_size``, ``on_unit_complete``, ``completed_units``).
+    ``kernel`` is validated exactly as in
     :func:`~repro.core.cubemask.compute_cubemask`; pass a dict as
     ``stats`` to receive the same counter breakdown, with
     ``kernel_pairs``/``kernel_ns`` merged from worker deltas.
     """
-    with trace("parallel.compute", observations=len(space)):
-        return _compute_cubemask_parallel(
-            space,
-            workers=workers,
-            collect_partial=collect_partial,
-            collect_partial_dimensions=collect_partial_dimensions,
-            targets=targets,
-            min_parallel_observations=min_parallel_observations,
-            batch_size=batch_size,
-            unit_size=unit_size,
-            max_retries=max_retries,
-            retry_backoff=retry_backoff,
-            unit_timeout=unit_timeout,
-            fault_plan=fault_plan,
-            on_unit_complete=on_unit_complete,
-            completed_units=completed_units,
-            fallback_sequential=fallback_sequential,
-            kernel=kernel,
-            kernel_threshold=kernel_threshold,
-            stats=stats,
-        )
-
-
-def _compute_cubemask_parallel(
-    space: ObservationSpace,
-    workers: int | None = None,
-    collect_partial: bool = True,
-    collect_partial_dimensions: bool = False,
-    targets=None,
-    min_parallel_observations: int = 512,
-    batch_size: int = 256,
-    unit_size: int | None = None,
-    max_retries: int = 2,
-    retry_backoff: float = 0.1,
-    unit_timeout: float | None = None,
-    fault_plan=None,
-    on_unit_complete=None,
-    completed_units=(),
-    fallback_sequential: bool = True,
-    kernel: str = "auto",
-    kernel_threshold: int | None = None,
-    stats: dict | None = None,
-) -> RelationshipSet:
     from repro.core.baseline import normalize_targets
-    from repro.core.cubemask import _flush_counts
 
-    resolved = tuple(sorted(normalize_targets(targets, collect_partial)))
-    if collect_partial_dimensions and len(space.dimensions) > _kernels.DIM_MASK_LIMIT:
-        # Partial-dimension bitmasks ride in a single word; wider buses
-        # keep the sequential path's tuple-at-a-time extraction.
-        return compute_cubemask(
-            space, collect_partial=collect_partial,
-            collect_partial_dimensions=collect_partial_dimensions,
-            targets=resolved, kernel=kernel,
-            kernel_threshold=kernel_threshold, stats=stats,
+    check_kernel(kernel)
+    with trace("parallel.compute", observations=len(space)):
+        resolved = tuple(sorted(normalize_targets(targets, collect_partial)))
+        too_wide = (
+            collect_partial_dimensions
+            and len(space.dimensions) > _kernels.DIM_MASK_LIMIT
         )
-    if len(space) < min_parallel_observations:
-        return compute_cubemask(
-            space, collect_partial=collect_partial,
-            collect_partial_dimensions=collect_partial_dimensions,
-            targets=resolved, kernel=kernel,
-            kernel_threshold=kernel_threshold, stats=stats,
-        )
-
-    state = build_cubemask_state(
-        space, resolved, kernel=kernel, kernel_threshold=kernel_threshold,
-        collect_partial_dimensions=collect_partial_dimensions,
-    )
-    total_pairs = len(state["pairs"])
-    counts = dict(state["counts"])
-
-    worker_count = workers if workers is not None else max(1, (os.cpu_count() or 2) - 1)
-    if unit_size is None:
-        # A handful of ranges per worker balances skewed cube sizes
-        # without paying per-batch IPC for thousands of tiny batches.
-        unit_size = max(1, total_pairs // (worker_count * 8))
-    done = set(completed_units)
-    pending = [d for d in enumerate_unit_ranges(total_pairs, unit_size) if d[0] not in done]
-
-    result = RelationshipSet()
-    attempts: dict[int, int] = {d[0]: 0 for d in pending}
-    uris = state["uris"]
-    k = state["k"]
-    dimensions = state["dimensions"]
-
-    def emit(unit_id: int, delta: RelationshipSet) -> None:
-        result.merge(delta)
-        if on_unit_complete is not None:
-            on_unit_complete(unit_id, delta)
-
-    def fold_counters(delta: dict, in_parent: bool) -> None:
-        # Worker counters died with the worker process; fold the delta
-        # into this process's repro_kernel_* series.  Parent-scored
-        # ranges already recorded themselves — only the stats breakdown
-        # needs the numbers.
-        if not in_parent:
-            _kernels.merge_counters(delta)
-            if delta.get("kernel_pairs"):
-                _metrics()["kernel_pairs"].inc(delta["kernel_pairs"])
-        counts["kernel_pairs"] += int(delta.get("kernel_pairs", 0))
-        counts["kernel_ns"] += int(delta.get("kernel_ns", 0))
-
-    def degrade(remaining) -> None:
-        _metrics()["degraded"].inc(len(remaining))
-        logger.warning(
-            "degrading to sequential cubeMasking for %d remaining range(s)",
-            len(remaining),
-            fields={"ranges": len(remaining)},
-        )
-        for unit_id, start, stop in remaining:
-            if fault_plan is not None:
-                fault_plan.before_unit(unit_id, in_worker=False)
-            payload = _score_pairs(state, state["pairs"][start:stop])
-            fold_counters(payload["counters"], in_parent=True)
-            emit(unit_id, _payload_to_delta(uris, k, dimensions, payload))
-
-    def finish() -> RelationshipSet:
-        _flush_counts(counts)
-        if stats is not None:
-            stats.update(counts)
-        return result
-
-    try:
-        with trace("parallel.publish", pairs=total_pairs):
-            segment, meta = prepare_shared_fanout(state)
-    except OSError as exc:
-        logger.warning(
-            "shared-memory publication failed (%s) — scoring %d range(s) sequentially",
-            exc,
-            len(pending),
-        )
-        degrade(pending)
-        return finish()
-
-    try:
-        while pending:
-            pool = ProcessPoolExecutor(
-                max_workers=worker_count,
-                initializer=_initializer,
-                initargs=(segment.name, meta, fault_plan),
+        if too_wide or len(space) < min_parallel_observations:
+            return compute_cubemask(
+                space,
+                collect_partial_dimensions=collect_partial_dimensions,
+                targets=resolved,
+                stats=stats,
             )
-            failure: tuple[tuple[int, int, int], BaseException, str] | None = None
-            finished: set[int] = set()
-            try:
-                futures = [(pool.submit(_execute_unit, d), d) for d in pending]
-                for future, descriptor in futures:
-                    try:
-                        payload = future.result(timeout=unit_timeout)
-                    except FutureTimeoutError as exc:
-                        failure = (descriptor, exc, "timeout")
-                        break
-                    except (BrokenProcessPool, OSError) as exc:
-                        failure = (descriptor, exc, "crash")
-                        break
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:
-                        failure = (descriptor, exc, "error")
-                        break
-                    finished.add(descriptor[0])
-                    _metrics()["units"].inc()
-                    unit_id, unit_payload = payload
-                    fold_counters(unit_payload["counters"], in_parent=False)
-                    emit(unit_id, _payload_to_delta(uris, k, dimensions, unit_payload))
-            finally:
-                pool.shutdown(wait=failure is None, cancel_futures=True)
 
-            if failure is None:
-                break
-            descriptor, error, kind = failure
-            _metrics()["failures"].inc(kind=kind)
-            pending = [d for d in pending if d[0] not in finished]
-            unit_id = descriptor[0]
-            attempts[unit_id] += 1
-            if attempts[unit_id] > max_retries:
-                if fallback_sequential:
-                    degrade(pending)
-                    pending = []
-                    break
-                if kind == "timeout":
-                    raise UnitTimeoutError(
-                        "cube-pair range timed out", unit=unit_id, timeout=unit_timeout
-                    ) from error
-                raise WorkerCrashError(
-                    f"cube-pair range failed permanently: {error}",
-                    unit=unit_id,
-                    attempts=attempts[unit_id],
-                ) from error
-            delay = min(retry_backoff * (2 ** (attempts[unit_id] - 1)), _BACKOFF_CAP)
-            _metrics()["respawns"].inc()
+        state = build_cubemask_state(space, resolved, collect_partial_dimensions)
+        total_pairs = len(state["pairs"])
+        counts = dict(state["counts"])
+
+        worker_count = workers if workers is not None else max(1, (os.cpu_count() or 2) - 1)
+        if unit_size is None:
+            # A handful of ranges per worker balances skewed cube sizes
+            # without paying per-batch IPC for thousands of tiny batches.
+            unit_size = max(1, total_pairs // (worker_count * 8))
+        done = set(completed_units)
+        pending = [d for d in enumerate_unit_ranges(total_pairs, unit_size) if d[0] not in done]
+
+        result = RelationshipSet()
+        attempts: dict[int, int] = {d[0]: 0 for d in pending}
+
+        def emit(unit_id: int, delta: RelationshipSet) -> None:
+            result.merge(delta)
+            if on_unit_complete is not None:
+                on_unit_complete(unit_id, delta)
+
+        def emit_worker_unit(unit_id: int, block, counters: dict) -> None:
+            # Worker counters died with the worker process; fold the
+            # delta into this process's repro_kernel_* series.
+            _kernels.merge_counters(counters)
+            if counters.get("kernel_pairs"):
+                _metrics()["kernel_pairs"].inc(counters["kernel_pairs"])
+            counts["kernel_pairs"] += int(counters.get("kernel_pairs", 0))
+            counts["kernel_ns"] += int(counters.get("kernel_ns", 0))
+            delta = RelationshipSet()
+            emit_block(delta, block, state["uris"], state["dimensions"])
+            emit(unit_id, delta)
+
+        def degrade(remaining) -> None:
+            _metrics()["degraded"].inc(len(remaining))
             logger.warning(
-                "worker failure (%s) on range %d, attempt %d/%d — respawning pool in %.2fs: %s",
-                kind,
-                unit_id,
-                attempts[unit_id],
-                max_retries + 1,
-                delay,
-                error,
-                fields={"kind": kind, "unit": unit_id, "attempt": attempts[unit_id]},
+                "degrading to sequential cubeMasking for %d remaining range(s)",
+                len(remaining),
+                fields={"ranges": len(remaining)},
             )
-            if delay > 0:
-                time.sleep(delay)
-    finally:
-        segment.close()
+            for unit_id, start, stop in remaining:
+                if fault_plan is not None:
+                    fault_plan.before_unit(unit_id, in_worker=False)
+                emit(unit_id, score_range(state, start, stop, counts))
+
+        def finish() -> RelationshipSet:
+            _flush_counts(counts)
+            if stats is not None:
+                stats.update(counts)
+            return result
+
         try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-    return finish()
+            with trace("parallel.publish", pairs=total_pairs):
+                segment, meta = prepare_shared_fanout(state)
+        except OSError as exc:
+            logger.warning(
+                "shared-memory publication failed (%s) — scoring %d range(s) sequentially",
+                exc,
+                len(pending),
+            )
+            degrade(pending)
+            return finish()
+
+        try:
+            while pending:
+                pool = ProcessPoolExecutor(
+                    max_workers=worker_count,
+                    initializer=_initializer,
+                    initargs=(segment.name, meta, fault_plan),
+                )
+                failure: tuple[tuple[int, int, int], BaseException, str] | None = None
+                finished: set[int] = set()
+                try:
+                    futures = [(pool.submit(_execute_unit, d), d) for d in pending]
+                    for future, descriptor in futures:
+                        try:
+                            payload = future.result(timeout=unit_timeout)
+                        except FutureTimeoutError as exc:
+                            failure = (descriptor, exc, "timeout")
+                            break
+                        except (BrokenProcessPool, OSError) as exc:
+                            failure = (descriptor, exc, "crash")
+                            break
+                        except (KeyboardInterrupt, SystemExit):
+                            raise
+                        except Exception as exc:
+                            failure = (descriptor, exc, "error")
+                            break
+                        finished.add(descriptor[0])
+                        _metrics()["units"].inc()
+                        emit_worker_unit(*payload)
+                finally:
+                    pool.shutdown(wait=failure is None, cancel_futures=True)
+
+                if failure is None:
+                    break
+                descriptor, error, kind = failure
+                _metrics()["failures"].inc(kind=kind)
+                pending = [d for d in pending if d[0] not in finished]
+                unit_id = descriptor[0]
+                attempts[unit_id] += 1
+                if attempts[unit_id] > max_retries:
+                    if fallback_sequential:
+                        degrade(pending)
+                        pending = []
+                        break
+                    if kind == "timeout":
+                        raise UnitTimeoutError(
+                            "cube-pair range timed out", unit=unit_id, timeout=unit_timeout
+                        ) from error
+                    raise WorkerCrashError(
+                        f"cube-pair range failed permanently: {error}",
+                        unit=unit_id,
+                        attempts=attempts[unit_id],
+                    ) from error
+                delay = min(retry_backoff * (2 ** (attempts[unit_id] - 1)), _BACKOFF_CAP)
+                _metrics()["respawns"].inc()
+                logger.warning(
+                    "worker failure (%s) on range %d, attempt %d/%d — respawning pool in %.2fs: %s",
+                    kind,
+                    unit_id,
+                    attempts[unit_id],
+                    max_retries + 1,
+                    delay,
+                    error,
+                    fields={"kind": kind, "unit": unit_id, "attempt": attempts[unit_id]},
+                )
+                if delay > 0:
+                    time.sleep(delay)
+        finally:
+            segment.close()
+            try:
+                segment.unlink()
+            except FileNotFoundError:
+                pass
+        return finish()

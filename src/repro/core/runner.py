@@ -645,7 +645,8 @@ class MaterializationRunner:
 
     def _plan_cube_pairs(self, space: ObservationSpace) -> _UnitPlan:
         from repro.core.baseline import normalize_targets
-        from repro.core.parallel import build_cubemask_state, enumerate_unit_ranges, score_range
+        from repro.core.cubemask import build_cubemask_state, check_kernel, score_range
+        from repro.core.parallel import enumerate_unit_ranges
 
         options = dict(self.options)
         parallel = bool(options.pop("parallel", False)) or "workers" in options
@@ -660,22 +661,12 @@ class MaterializationRunner:
                 "collect_partial_dimensions is not supported by the checkpointing "
                 "cube_masking runner; use the baseline method for per-dimension maps"
             )
-        # Kernel selection changes how a range is scored, never what it
-        # yields, so it rides in executor_options and stays out of
-        # options_key — checkpoints remain interchangeable across
-        # kernels, workers and sequential/parallel execution.
-        kernel = options.pop("kernel", "auto")
-        kernel_threshold = options.pop("kernel_threshold", None)
-        executor_options["kernel"] = kernel
-        if kernel_threshold is not None:
-            executor_options["kernel_threshold"] = kernel_threshold
+        check_kernel(options.pop("kernel", "auto"))
         _pop_ignored(options, "prefetch_children", "min_parallel_observations", "batch_size")
         _reject_unknown(options, self.method)
 
         resolved = tuple(sorted(targets))
-        state = build_cubemask_state(
-            space, resolved, kernel=kernel, kernel_threshold=kernel_threshold
-        )
+        state = build_cubemask_state(space, resolved)
         unit = self.unit_size or DEFAULT_PAIR_UNIT
         if unit < 1:
             raise AlgorithmError("unit_size must be >= 1")

@@ -74,15 +74,11 @@ class QueryEngine:
         cache_size: int = 1024,
         index: RelationshipIndex | None = None,
         delta_sink=None,
-        kernel: str = "auto",
         storage_info=None,
         changefeed=None,
     ):
         self.result = result
         self.space = space
-        #: instance-check path for incremental inserts — see
-        #: :func:`repro.core.cubemask.compute_cubemask`
-        self.kernel = kernel
         # A prebuilt (possibly lazy, segment-backed) index can be
         # injected so engine construction stays O(manifest) when the
         # store supports it; see repro.storage.lazy.
@@ -412,8 +408,7 @@ class QueryEngine:
         with self.lock.write_locked():
             start = len(self.space)
             _, delta = update_relationships(
-                self.space, self.result, observations, return_delta=True,
-                kernel=self.kernel,
+                self.space, self.result, observations, return_delta=True
             )
             try:
                 self._persist(delta)

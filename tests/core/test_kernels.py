@@ -1,8 +1,8 @@
 """Equivalence and unit tests for the vectorised cube-pair kernels.
 
-The contract under test: the numpy kernel, the pure-Python path and
-the shared-memory parallel path produce byte-identical
-``RelationshipSet``s for all three relationship types, on randomized
+The contract under test: the sequential, shared-memory parallel and
+incremental cubeMasking paths produce ``RelationshipSet``s identical
+to the baseline for all three relationship types, on randomized
 synthetic spaces spanning dimension counts, hierarchy depths,
 missing-dimension schemas, disjoint measure schemas, and the k=0 and
 empty edge cases.
@@ -13,10 +13,11 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.errors import AlgorithmError
-from repro.core.api import update_relationships
+from repro.core.api import compute_relationships, update_relationships
 from repro.core.baseline import compute_baseline, measure_overlap_matrix
-from repro.core.cubemask import compute_cubemask
+from repro.core.cubemask import build_cubemask_state, compute_cubemask
 from repro.core.kernels import (
     attach_arrays,
     build_kernel_plan,
@@ -27,11 +28,7 @@ from repro.core.kernels import (
     publish_arrays,
     reset_kernel_counters,
 )
-from repro.core.parallel import (
-    build_cubemask_state,
-    compute_cubemask_parallel,
-    prepare_shared_fanout,
-)
+from repro.core.parallel import compute_cubemask_parallel, prepare_shared_fanout
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
 from repro.rdf.terms import URIRef
@@ -248,7 +245,7 @@ class TestCubemaskKernelEquivalence:
         space = make_varied_space(**params)
         baseline = compute_baseline(space, collect_partial_dimensions=collect_dims)
         results = {}
-        for mode in ("python", "numpy", "auto"):
+        for mode in ("numpy", "auto"):
             results[mode] = compute_cubemask(
                 space,
                 prefetch_children=prefetch,
@@ -266,25 +263,26 @@ class TestCubemaskKernelEquivalence:
     )
     def test_targets_respected_on_kernel_path(self, targets):
         space = make_varied_space(80, seed=26)
-        python = compute_cubemask(space, targets=targets, kernel="python")
+        baseline = compute_baseline(space, targets=targets)
         numpy_result = compute_cubemask(space, targets=targets, kernel="numpy")
-        assert numpy_result == python
+        assert numpy_result == baseline
 
     def test_zero_dimension_space(self):
         space = make_zero_dimension_space()
         baseline = compute_baseline(space, collect_partial_dimensions=True)
-        for mode in ("python", "numpy", "auto"):
+        for mode in ("numpy", "auto"):
             assert compute_cubemask(space, kernel=mode) == baseline
 
     def test_empty_space(self):
         space = ObservationSpace((), {})
-        for mode in ("python", "numpy", "auto"):
+        for mode in ("numpy", "auto"):
             assert compute_cubemask(space, kernel=mode) == RelationshipSet()
 
     def test_threshold_zero_forces_kernel_on_auto(self):
+        """``auto`` has no size threshold left: every pair takes the kernel."""
         space = make_random_space(50, seed=27)
         stats = {}
-        compute_cubemask(space, kernel="auto", kernel_threshold=0, stats=stats)
+        compute_cubemask(space, kernel="auto", stats=stats)
         assert stats["kernel_pairs"] > 0
         assert stats["kernel_ns"] > 0
 
@@ -292,6 +290,20 @@ class TestCubemaskKernelEquivalence:
         space = make_random_space(10, seed=28)
         with pytest.raises(AlgorithmError):
             compute_cubemask(space, kernel="fortran")
+
+    def test_python_kernel_rejected_with_typed_error(self, tmp_path, capsys):
+        space = make_random_space(10, seed=28)
+        with pytest.raises(AlgorithmError, match="python"):
+            compute_cubemask(space, kernel="python")
+        with pytest.raises(AlgorithmError, match="python"):
+            compute_relationships(space, "cube_masking", kernel="python")
+        corpus = tmp_path / "corpus.ttl"
+        assert main(["generate", "--kind", "realworld", "--scale", "0.0005",
+                     "--output", str(corpus)]) == 0
+        code = main(["compute", "--input", str(corpus), "--method", "cube_masking",
+                     "--kernel", "python", "--output", str(tmp_path / "links.nt")])
+        assert code == 3
+        assert "repro: error: unsupported kernel mode 'python'" in capsys.readouterr().err
 
 
 class TestCubemaskStats:
@@ -307,7 +319,7 @@ class TestCubemaskStats:
                 {URIRef("http://test.example/m")},
             )
         stats = {}
-        compute_cubemask(space, stats=stats, kernel="python")
+        compute_cubemask(space, stats=stats)
         assert stats["cubes"] == 1
         assert stats["instance_comparisons"] == 8 * 8 - 8
         assert stats["pruned_comparisons"] == 8
@@ -315,14 +327,14 @@ class TestCubemaskStats:
     def test_measure_prefilter_pruning_reported(self):
         space = make_varied_space(100, seed=30, disjoint_measures=True)
         stats = {}
-        compute_cubemask(space, stats=stats, kernel="python")
+        compute_cubemask(space, stats=stats)
         if stats["pruned_cube_pairs"]:
             assert stats["pruned_comparisons"] > 0
 
     def test_stats_identical_across_kernel_paths(self):
         space = make_varied_space(90, seed=31, disjoint_measures=True)
         by_mode = {}
-        for mode in ("python", "numpy", "auto"):
+        for mode in ("numpy", "auto"):
             stats = {}
             compute_cubemask(space, stats=stats, kernel=mode)
             by_mode[mode] = stats
@@ -333,21 +345,20 @@ class TestCubemaskStats:
             "pruned_comparisons",
             "pruned_cube_pairs",
         ):
-            assert by_mode["python"][key] == by_mode["numpy"][key] == by_mode["auto"][key]
+            assert by_mode["numpy"][key] == by_mode["auto"][key]
 
     def test_kernel_timing_counters(self):
         space = make_random_space(80, seed=32)
-        python_stats, numpy_stats = {}, {}
-        compute_cubemask(space, stats=python_stats, kernel="python")
+        auto_stats, numpy_stats = {}, {}
+        compute_cubemask(space, stats=auto_stats, kernel="auto")
         compute_cubemask(space, stats=numpy_stats, kernel="numpy")
-        assert python_stats["kernel_pairs"] == 0
-        assert python_stats["kernel_ns"] == 0
-        assert numpy_stats["kernel_pairs"] > 0
-        assert numpy_stats["kernel_ns"] > 0
+        for stats in (auto_stats, numpy_stats):
+            assert stats["kernel_pairs"] >= stats["instance_comparisons"] > 0
+            assert stats["kernel_ns"] > 0
 
 
 class TestParallelKernelEquivalence:
-    @pytest.mark.parametrize("mode", ["auto", "numpy", "python"])
+    @pytest.mark.parametrize("mode", ["auto", "numpy"])
     def test_parallel_matches_sequential(self, mode):
         space = make_varied_space(130, seed=40, missing_rate=0.2)
         sequential = compute_cubemask(space)
@@ -390,10 +401,10 @@ class TestParallelKernelEquivalence:
 
 
 class TestUpdateRelationshipsKernel:
-    @pytest.mark.parametrize("mode", ["python", "numpy", "auto"])
+    @pytest.mark.parametrize("mode", ["numpy", "auto"])
     def test_incremental_insert_matches_batch(self, mode):
         space = make_varied_space(60, seed=50, missing_rate=0.2)
-        result = compute_cubemask(space, collect_partial_dimensions=True)
+        result = compute_cubemask(space, collect_partial_dimensions=True, kernel=mode)
         extra_space = make_varied_space(75, seed=50, missing_rate=0.2)
         new = [
             (
@@ -404,34 +415,33 @@ class TestUpdateRelationshipsKernel:
             )
             for record in extra_space.observations[60:]
         ]
-        update_relationships(space, result, new, kernel=mode)
-        batch = compute_cubemask(space, collect_partial_dimensions=True)
+        update_relationships(space, result, new)
+        batch = compute_baseline(space, collect_partial_dimensions=True)
         assert result == batch
         assert result.degrees == batch.degrees
         assert result.partial_map == batch.partial_map
 
     def test_kernel_and_python_deltas_identical(self):
-        deltas = {}
-        for mode in ("python", "numpy"):
-            space = make_random_space(50, seed=51)
-            result = compute_cubemask(space, collect_partial_dimensions=True)
-            new = [
-                (
-                    URIRef(f"http://test.example/new/{i}"),
-                    URIRef("http://test.example/ds"),
-                    dict(zip(space.dimensions, space.observations[i].codes)),
-                    space.observations[i].measures,
-                )
-                for i in range(10)
-            ]
-            _, delta = update_relationships(
-                space, result, new, return_delta=True, kernel=mode
+        """The reported delta is exactly the baseline's before/after difference."""
+        space = make_random_space(50, seed=51)
+        before = compute_baseline(space, collect_partial_dimensions=True)
+        result = compute_cubemask(space, collect_partial_dimensions=True)
+        new = [
+            (
+                URIRef(f"http://test.example/new/{i}"),
+                URIRef("http://test.example/ds"),
+                dict(zip(space.dimensions, space.observations[i].codes)),
+                space.observations[i].measures,
             )
-            deltas[mode] = delta
-        assert deltas["python"].added_full == deltas["numpy"].added_full
-        assert deltas["python"].added_partial == deltas["numpy"].added_partial
-        assert deltas["python"].added_complementary == deltas["numpy"].added_complementary
-        assert deltas["python"].partial_map == deltas["numpy"].partial_map
+            for i in range(10)
+        ]
+        _, delta = update_relationships(space, result, new, return_delta=True)
+        after = compute_baseline(space, collect_partial_dimensions=True)
+        assert delta.added_full == after.full - before.full
+        assert delta.added_partial == after.partial - before.partial
+        assert delta.added_complementary == after.complementary - before.complementary
+        assert delta.partial_map == {pair: after.partial_map[pair] for pair in delta.added_partial}
+        assert delta.degrees == {pair: after.degrees[pair] for pair in delta.added_partial}
 
 
 class TestDimMaskCapacity:
@@ -454,7 +464,7 @@ class TestDimMaskCapacity:
             build_kernel_plan(space, collect_partial_dimensions=True)
         # Without dimension collection the same bus plans fine.
         plan = build_kernel_plan(space)
-        assert len(plan.block_slices) == 65
+        assert plan.k == 65
 
     def test_evaluate_pair_block_rejects_before_any_tile(self):
         space = make_varied_space(4, dimension_count=65, seed=52)
@@ -465,16 +475,15 @@ class TestDimMaskCapacity:
                 plan, rows, rows, collect_partial_dimensions=True
             )
 
-    def test_wide_bus_falls_back_to_python_extraction(self):
+    def test_wide_bus_partial_dimensions_match_baseline(self):
+        """The kernel counts on a 65-dimension bus; the sequential path
+        decodes ``map_P`` per pair when it emits."""
         space = make_varied_space(12, dimension_count=65, seed=53, missing_rate=0.3)
-        python = compute_cubemask(
-            space, kernel="python", collect_partial_dimensions=True
-        )
-        numpy_path = compute_cubemask(
-            space, kernel="numpy", collect_partial_dimensions=True
-        )
-        assert numpy_path == python
-        assert numpy_path.partial_map == python.partial_map
+        baseline = compute_baseline(space, collect_partial_dimensions=True)
+        result = compute_cubemask(space, collect_partial_dimensions=True)
+        assert result == baseline
+        assert result.partial_map == baseline.partial_map
+        assert result.degrees == baseline.degrees
 
     def test_parallel_wide_bus_degrades_to_sequential(self):
         space = make_varied_space(12, dimension_count=65, seed=53, missing_rate=0.3)
@@ -484,8 +493,6 @@ class TestDimMaskCapacity:
             min_parallel_observations=0,
             collect_partial_dimensions=True,
         )
-        sequential = compute_cubemask(
-            space, kernel="python", collect_partial_dimensions=True
-        )
+        sequential = compute_baseline(space, collect_partial_dimensions=True)
         assert parallel == sequential
         assert parallel.partial_map == sequential.partial_map

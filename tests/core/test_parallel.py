@@ -8,7 +8,7 @@ under heavily skewed cube sizes.
 
 import pytest
 
-from repro.core import compute_cubemask
+from repro.core import compute_baseline, compute_cubemask
 from repro.core.parallel import compute_cubemask_parallel, enumerate_unit_ranges
 from repro.rdf.terms import URIRef
 
@@ -140,7 +140,7 @@ class TestUnitHooks:
 
 
 class TestWorkerKernelComposition:
-    """Workers must run the *numpy* kernel, not the tuple fallback."""
+    """Workers score pairs with the vectorised kernel and report it."""
 
     def test_stats_match_sequential_and_count_worker_kernel_pairs(self):
         space = make_random_space(150, seed=67)
@@ -181,15 +181,6 @@ class TestWorkerKernelComposition:
         # process-wide repro_kernel_* counters via merge_counters.
         assert after["kernel_pairs"] - before["kernel_pairs"] >= stats["kernel_pairs"] > 0
 
-    def test_python_kernel_mode_reports_no_kernel_pairs(self):
-        space = make_random_space(130, seed=69)
-        stats: dict = {}
-        parallel = compute_cubemask_parallel(
-            space, workers=2, min_parallel_observations=10, kernel="python", stats=stats
-        )
-        assert parallel == compute_cubemask(space, kernel="python")
-        assert stats["kernel_pairs"] == 0
-
     def test_single_pair_units_roundtrip_partial_dimensions(self):
         """unit_size=1 exercises single-cube-pair worker payloads."""
         space = make_random_space(130, seed=70)
@@ -201,9 +192,7 @@ class TestWorkerKernelComposition:
             kernel="numpy",
             collect_partial_dimensions=True,
         )
-        sequential = compute_cubemask(
-            space, kernel="python", collect_partial_dimensions=True
-        )
+        sequential = compute_baseline(space, collect_partial_dimensions=True)
         assert parallel == sequential
         assert parallel.partial_map == sequential.partial_map
         assert parallel.degrees == sequential.degrees

@@ -1,7 +1,8 @@
 """Trace-ID propagation into the shared-memory pool fan-out, and the
 exposition validator's command-line entry point."""
 
-from repro.core.parallel import build_cubemask_state, prepare_shared_fanout
+from repro.core.cubemask import build_cubemask_state
+from repro.core.parallel import prepare_shared_fanout
 from repro.obs.tracing import bind_trace, trace
 
 from tests.conftest import make_random_space

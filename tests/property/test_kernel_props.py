@@ -1,14 +1,13 @@
-"""Property-based equivalence: vectorised kernels vs the Python path.
+"""Property-based equivalence: every cubeMasking path vs the baseline.
 
 Hypothesis drives random spaces (random hierarchies, missing
-dimensions, 0..N observations) through the numpy kernel, the pure
-Python cubeMasking path, the parallel fan-out's scoring path and the
-baseline, asserting identical ``RelationshipSet``s — including
-degrees and partial-dimension maps — and identical pruning
-statistics.  Chunk/tile boundaries and single-pair work units are
-swept explicitly: a block split at every possible boundary must
-produce the same partial results and dimension masks as one
-monolithic evaluation.
+dimensions, 0..N observations) through the sequential path, the
+runner's ``score_range`` units and the incremental path, asserting
+``RelationshipSet``s identical to the baseline — including degrees
+and partial-dimension maps — and path-independent pruning statistics.
+Chunk/tile boundaries are swept explicitly: a block split at every
+possible boundary must produce the same partial results and dimension
+masks as one monolithic evaluation.
 """
 
 import numpy as np
@@ -16,76 +15,65 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import compute_baseline, compute_cubemask, update_relationships
-from repro.core.cubemask import STAT_KEYS
+from repro.core.cubemask import STAT_KEYS, build_cubemask_state, score_range
 from repro.core.kernels import build_kernel_plan, evaluate_pair_block
-from repro.core.parallel import build_cubemask_state, enumerate_unit_ranges, score_range
+from repro.core.parallel import enumerate_unit_ranges
 from repro.core.results import RelationshipSet
 
 from tests.property.strategies import observation_spaces
 
 
-@given(observation_spaces(max_observations=18), st.booleans(), st.booleans())
-@settings(max_examples=25, deadline=None)
-def test_kernel_matches_python_and_baseline(space, prefetch, collect_dims):
-    baseline = compute_baseline(space, collect_partial_dimensions=collect_dims)
-    python_stats, numpy_stats = {}, {}
-    python_result = compute_cubemask(
-        space,
-        prefetch_children=prefetch,
-        collect_partial_dimensions=collect_dims,
-        kernel="python",
-        stats=python_stats,
-    )
-    numpy_result = compute_cubemask(
-        space,
-        prefetch_children=prefetch,
-        collect_partial_dimensions=collect_dims,
-        kernel="numpy",
-        stats=numpy_stats,
-    )
-    assert python_result == baseline
-    assert numpy_result == baseline
-    assert numpy_result.degrees == baseline.degrees
-    if collect_dims:
-        assert numpy_result.partial_map == baseline.partial_map
-    for key in STAT_KEYS:
-        if key.startswith("kernel_"):
-            continue  # path-specific by design
-        assert python_stats[key] == numpy_stats[key]
-
-
 @given(
     observation_spaces(max_observations=16),
     st.booleans(),
+    st.booleans(),
     st.sampled_from([1, 3, 10_000]),
+    st.integers(min_value=1, max_value=15),
 )
-@settings(max_examples=20, deadline=None)
-def test_parallel_scoring_matches_python(space, collect_dims, unit_size):
-    """The parallel fan-out's scoring path (shared state + columnar
-    worker payloads) agrees with the pure-Python path on partial
-    results *and* ``partial_dim_masks`` — including ``unit_size=1``
-    single-cube-pair payloads and one monolithic range."""
-    targets = ("complementary", "full", "partial")
-    expected = compute_cubemask(
-        space,
-        targets=targets,
-        kernel="python",
-        collect_partial_dimensions=collect_dims,
+@settings(max_examples=30, deadline=None)
+def test_every_sweep_path_matches_baseline(space, prefetch, collect_dims, unit_size, split_at):
+    """Sequential runs, ``score_range`` units (``unit_size`` 1 / 3 /
+    all) and an incremental run from a random split all equal the
+    baseline; the sequential stats equal the planner's precomputed
+    counters."""
+    baseline = compute_baseline(space, collect_partial_dimensions=True)
+
+    def assert_matches_baseline(result, with_dims):
+        assert result == baseline
+        assert result.degrees == baseline.degrees
+        if with_dims:
+            assert result.partial_map == baseline.partial_map
+
+    stats = {}
+    sequential = compute_cubemask(
+        space, prefetch_children=prefetch, collect_partial_dimensions=collect_dims, stats=stats
     )
+    assert_matches_baseline(sequential, collect_dims)
+
     state = build_cubemask_state(
-        space,
-        targets,
-        kernel="numpy",
-        kernel_threshold=0,
-        collect_partial_dimensions=collect_dims,
+        space, ("complementary", "full", "partial"), collect_partial_dimensions=collect_dims
     )
-    result = RelationshipSet()
+    units = RelationshipSet()
+    unit_counts = {"kernel_pairs": 0, "kernel_ns": 0}
     for _, start, stop in enumerate_unit_ranges(len(state["pairs"]), unit_size):
-        result.merge(score_range(state, start, stop))
-    assert result == expected
-    assert result.degrees == expected.degrees
-    if collect_dims:
-        assert result.partial_map == expected.partial_map
+        units.merge(score_range(state, start, stop, unit_counts))
+    assert_matches_baseline(units, collect_dims)
+    if prefetch and len(space):
+        expected = dict(state["counts"], kernel_pairs=unit_counts["kernel_pairs"])
+        for key in STAT_KEYS:
+            if key != "kernel_ns":
+                assert stats[key] == expected[key], key
+
+    if len(space) >= 2:
+        split = min(split_at, len(space) - 1)
+        grown = space.select(range(split))
+        incremental = compute_cubemask(grown, collect_partial_dimensions=True)
+        arrivals = [
+            (r.uri, r.dataset, dict(zip(space.dimensions, r.codes)), r.measures)
+            for r in space.observations[split:]
+        ]
+        update_relationships(grown, incremental, arrivals)
+        assert_matches_baseline(incremental, True)
 
 
 @given(
@@ -130,25 +118,3 @@ def test_pair_block_chunk_and_tile_invariance(space, chunk, tile_pairs):
         tile_pairs=tile_pairs,
     )
     assert snapshot(split) == snapshot(reference)
-
-
-@given(observation_spaces(max_observations=14), st.integers(min_value=1, max_value=13))
-@settings(max_examples=15, deadline=None)
-def test_incremental_kernel_matches_python(space, split_at):
-    n = len(space)
-    if n < 2:
-        return
-    split = min(split_at, n - 1)
-    base_py = space.select(range(split))
-    base_np = space.select(range(split))
-    arrivals = [
-        (r.uri, r.dataset, dict(zip(space.dimensions, r.codes)), r.measures)
-        for r in space.observations[split:]
-    ]
-    result_py = compute_baseline(base_py, collect_partial_dimensions=True)
-    result_np = compute_baseline(base_np, collect_partial_dimensions=True)
-    update_relationships(base_py, result_py, arrivals, kernel="python")
-    update_relationships(base_np, result_np, arrivals, kernel="numpy", kernel_threshold=0)
-    assert result_np == result_py
-    assert result_np.degrees == result_py.degrees
-    assert result_np.partial_map == result_py.partial_map
