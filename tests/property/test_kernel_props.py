@@ -22,58 +22,68 @@ from repro.core.results import RelationshipSet
 
 from tests.property.strategies import observation_spaces
 
+ALL_TARGETS = ("complementary", "full", "partial")
+
+
+@given(observation_spaces(max_observations=18), st.booleans(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_kernel_matches_python_and_baseline(space, prefetch, collect_dims):
+    """Sequential runs (``kernel`` "auto" and "numpy") equal the
+    baseline, and their stats equal the planner's precomputed
+    counters."""
+    baseline = compute_baseline(space, collect_partial_dimensions=collect_dims)
+    auto_stats, numpy_stats = {}, {}
+    auto_result = compute_cubemask(
+        space,
+        prefetch_children=prefetch,
+        collect_partial_dimensions=collect_dims,
+        stats=auto_stats,
+    )
+    numpy_result = compute_cubemask(
+        space,
+        prefetch_children=prefetch,
+        collect_partial_dimensions=collect_dims,
+        kernel="numpy",
+        stats=numpy_stats,
+    )
+    for result in (auto_result, numpy_result):
+        assert result == baseline
+        assert result.degrees == baseline.degrees
+        if collect_dims:
+            assert result.partial_map == baseline.partial_map
+    for key in STAT_KEYS:
+        if key != "kernel_ns":
+            assert auto_stats[key] == numpy_stats[key], key
+    if prefetch and len(space):
+        state = build_cubemask_state(space, ALL_TARGETS, collect_partial_dimensions=collect_dims)
+        unit_counts = {"kernel_pairs": 0, "kernel_ns": 0}
+        score_range(state, 0, len(state["pairs"]), unit_counts)
+        expected = dict(state["counts"], kernel_pairs=unit_counts["kernel_pairs"])
+        for key in STAT_KEYS:
+            if key != "kernel_ns":
+                assert auto_stats[key] == expected[key], key
+
 
 @given(
     observation_spaces(max_observations=16),
     st.booleans(),
-    st.booleans(),
     st.sampled_from([1, 3, 10_000]),
-    st.integers(min_value=1, max_value=15),
 )
-@settings(max_examples=30, deadline=None)
-def test_every_sweep_path_matches_baseline(space, prefetch, collect_dims, unit_size, split_at):
-    """Sequential runs, ``score_range`` units (``unit_size`` 1 / 3 /
-    all) and an incremental run from a random split all equal the
-    baseline; the sequential stats equal the planner's precomputed
-    counters."""
-    baseline = compute_baseline(space, collect_partial_dimensions=True)
-
-    def assert_matches_baseline(result, with_dims):
-        assert result == baseline
-        assert result.degrees == baseline.degrees
-        if with_dims:
-            assert result.partial_map == baseline.partial_map
-
-    stats = {}
-    sequential = compute_cubemask(
-        space, prefetch_children=prefetch, collect_partial_dimensions=collect_dims, stats=stats
-    )
-    assert_matches_baseline(sequential, collect_dims)
-
-    state = build_cubemask_state(
-        space, ("complementary", "full", "partial"), collect_partial_dimensions=collect_dims
-    )
-    units = RelationshipSet()
-    unit_counts = {"kernel_pairs": 0, "kernel_ns": 0}
+@settings(max_examples=20, deadline=None)
+def test_parallel_scoring_matches_python(space, collect_dims, unit_size):
+    """The runner's scoring path (shared state + ``score_range``
+    units) agrees with the baseline on partial results *and*
+    ``partial_dim_masks`` — including ``unit_size=1`` single-cube-pair
+    units and one monolithic range."""
+    expected = compute_baseline(space, collect_partial_dimensions=collect_dims)
+    state = build_cubemask_state(space, ALL_TARGETS, collect_partial_dimensions=collect_dims)
+    result = RelationshipSet()
     for _, start, stop in enumerate_unit_ranges(len(state["pairs"]), unit_size):
-        units.merge(score_range(state, start, stop, unit_counts))
-    assert_matches_baseline(units, collect_dims)
-    if prefetch and len(space):
-        expected = dict(state["counts"], kernel_pairs=unit_counts["kernel_pairs"])
-        for key in STAT_KEYS:
-            if key != "kernel_ns":
-                assert stats[key] == expected[key], key
-
-    if len(space) >= 2:
-        split = min(split_at, len(space) - 1)
-        grown = space.select(range(split))
-        incremental = compute_cubemask(grown, collect_partial_dimensions=True)
-        arrivals = [
-            (r.uri, r.dataset, dict(zip(space.dimensions, r.codes)), r.measures)
-            for r in space.observations[split:]
-        ]
-        update_relationships(grown, incremental, arrivals)
-        assert_matches_baseline(incremental, True)
+        result.merge(score_range(state, start, stop))
+    assert result == expected
+    assert result.degrees == expected.degrees
+    if collect_dims:
+        assert result.partial_map == expected.partial_map
 
 
 @given(
@@ -118,3 +128,26 @@ def test_pair_block_chunk_and_tile_invariance(space, chunk, tile_pairs):
         tile_pairs=tile_pairs,
     )
     assert snapshot(split) == snapshot(reference)
+
+
+@given(observation_spaces(max_observations=14), st.integers(min_value=1, max_value=13))
+@settings(max_examples=15, deadline=None)
+def test_incremental_kernel_matches_python(space, split_at):
+    """Incremental runs from a random split — seeded from either the
+    baseline or cubeMasking — equal the baseline of the whole space."""
+    n = len(space)
+    if n < 2:
+        return
+    expected = compute_baseline(space, collect_partial_dimensions=True)
+    split = min(split_at, n - 1)
+    arrivals = [
+        (r.uri, r.dataset, dict(zip(space.dimensions, r.codes)), r.measures)
+        for r in space.observations[split:]
+    ]
+    for seed in (compute_baseline, compute_cubemask):
+        grown = space.select(range(split))
+        result = seed(grown, collect_partial_dimensions=True)
+        update_relationships(grown, result, arrivals)
+        assert result == expected
+        assert result.degrees == expected.degrees
+        assert result.partial_map == expected.partial_map
