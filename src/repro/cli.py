@@ -293,12 +293,8 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
     from repro.resilience.breaker import CircuitBreaker
     from repro.resilience.faults import install_injector
-    from repro.resilience.shed import LoadShedder
     from repro.service import QueryEngine, start_server
     from repro.store import detect_store_kind, load_relationships
 
@@ -367,58 +363,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         changefeed = _open_changefeed(None)
         engine = QueryEngine(result, space, cache_size=args.cache_size, changefeed=changefeed)
 
-    shedder = LoadShedder(
-        max_inflight=args.max_inflight,
-        max_queued=args.max_queued,
-        queue_timeout=args.queue_timeout,
-    )
-    # The server runs on a background thread; the main thread parks on
-    # an event so SIGTERM/SIGINT can trigger a *graceful* stop — drain
-    # in-flight requests, then flush and unlock the store — instead of
-    # dying mid-request.
-    stop = threading.Event()
+    def start():
+        return start_server(engine, **_server_options(args, queue_timeout=args.queue_timeout))
 
-    def _on_signal(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    try:
-        server = start_server(
-            engine,
-            host=args.host,
-            port=args.port,
-            background=True,
-            verbose=args.verbose,
-            request_timeout=args.request_timeout,
-            shedder=shedder,
-            threads=args.threads,
-            span_dir=args.span_dir,
-            profiler=not args.no_profiler,
-            slow_log_path=args.slow_query_log,
-            slow_query_ms=args.slow_query_ms,
+    def describe(port: int) -> str:
+        mutable = "enabled" if space is not None else "disabled (no --input space)"
+        return (
+            f"# serving {result!r} on http://{args.host}:{port} "
+            f"(cache {args.cache_size}, threads {args.threads or 'per-request'}, "
+            f"writes {mutable}, max_inflight {args.max_inflight})"
         )
-    except OSError as exc:
-        raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
-    mutable = "enabled" if space is not None else "disabled (no --input space)"
-    bound_port = server.server_address[1]
-    _print_listening(args.host, bound_port, "serve")
-    print(
-        f"# serving {result!r} on http://{args.host}:{bound_port} "
-        f"(cache {args.cache_size}, threads {args.threads or 'per-request'}, "
-        f"writes {mutable}, max_inflight {args.max_inflight})",
-        file=sys.stderr,
-    )
-    try:
-        stop.wait()
-        print("repro: serve: draining in-flight requests", file=sys.stderr)
-        drained = server.graceful_shutdown(drain_timeout=args.drain_timeout)
-        if not drained:
-            print(
-                "repro: serve: drain timed out with requests still running",
-                file=sys.stderr,
-            )
-    finally:
+
+    def close() -> None:
         if scrubber is not None:
             scrubber.stop()
         if changefeed is not None:
@@ -427,15 +383,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # Flushes the WAL handle and releases the writer flock so
             # the next writer (serve, compact, scrub) can take over.
             store.close()
-    print("repro: serve: shut down cleanly", file=sys.stderr)
-    return 0
+
+    return _serve_until_signal(args, start, describe, close)
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     import itertools
     import json
-    import signal
-    import threading
 
     from repro.stream import (
         EngineSink,
@@ -455,14 +409,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     if args.schema:
         schema = schema_from_graph(_read_graph(args.schema))
 
-    stop = threading.Event()
-
-    def _on_signal(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-
+    stop = _stop_on_signal()
     if args.watch:
         lines = watch_directory(args.watch, poll_interval=args.poll_interval, stop=stop)
     elif args.source == "-":
@@ -566,6 +513,48 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
+def _stop_on_signal():
+    """A ``threading.Event`` that SIGTERM and SIGINT set."""
+    import signal
+    import threading
+
+    stop = threading.Event()
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        signal.signal(signum, lambda *_: stop.set())
+    return stop
+
+
+def _serve_until_signal(args: argparse.Namespace, start, describe, close=None) -> int:
+    """Run an HTTP front end (serve, shard, router) until SIGTERM/SIGINT.
+
+    ``start()`` binds the server and serves it on a background thread;
+    the main thread parks on an event so a signal triggers a *graceful*
+    stop — drain in-flight requests, then ``close()`` what the server
+    used — instead of dying mid-request.  ``describe(port)`` runs once
+    bound and returns the stderr banner.
+    """
+    stop = _stop_on_signal()
+    name = f"repro: {args.command}:"
+    try:
+        try:
+            server = start()
+        except OSError as exc:
+            raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
+        port = server.server_address[1]
+        banner = describe(port)
+        _print_listening(args.host, port, server.role)
+        print(banner, file=sys.stderr)
+        stop.wait()
+        print(f"{name} draining in-flight requests", file=sys.stderr)
+        if not server.graceful_shutdown(drain_timeout=args.drain_timeout):
+            print(f"{name} drain timed out with requests still running", file=sys.stderr)
+    finally:
+        if close is not None:
+            close()
+    print(f"{name} shut down cleanly", file=sys.stderr)
+    return 0
+
+
 def _print_listening(host: str, port: int, role: str) -> None:
     """The machine-readable bound-endpoint line, on **stdout**.
 
@@ -576,28 +565,29 @@ def _print_listening(host: str, port: int, role: str) -> None:
     print(f"listening url=http://{host}:{port} port={port} role={role}", flush=True)
 
 
-def _load_space(path: str):
-    return ObservationSpace.from_cubespace(load_cubespace(_read_graph(path)))
+def _load_manifest(args: argparse.Namespace):
+    """``--manifest`` and the observation space of ``--input`` (default:
+    the manifest's recorded input), for shard and router."""
+    from repro.cluster import ClusterManifest
+
+    manifest = ClusterManifest.load(args.manifest)
+    input_path = args.input or manifest.input_path
+    if not input_path:
+        return manifest, None
+    return manifest, ObservationSpace.from_cubespace(load_cubespace(_read_graph(input_path)))
 
 
 def _cmd_shard(args: argparse.Namespace) -> int:
     import os
-    import signal
-    import threading
 
-    from repro.cluster import ClusterManifest, build_shard_engine, write_endpoint_file
+    from repro.cluster import build_shard_engine, write_endpoint_file
     from repro.resilience.breaker import CircuitBreaker
-    from repro.resilience.shed import LoadShedder
     from repro.service import start_server
     from repro.storage import SegmentStore, is_segment_store
 
     if not is_segment_store(args.store):
         raise ReproError(f"{args.store} is not a segment store (shards need one)")
-    manifest = ClusterManifest.load(args.manifest)
-    space = None
-    input_path = args.input or manifest.input_path
-    if input_path:
-        space = _load_space(input_path)
+    manifest, space = _load_manifest(args)
     store = SegmentStore.open(args.store)
     try:
         engine, assigned = build_shard_engine(
@@ -611,24 +601,10 @@ def _cmd_shard(args: argparse.Namespace) -> int:
     except ValueError as exc:
         store.close()
         raise ReproError(str(exc)) from exc
-    shedder = LoadShedder(max_inflight=args.max_inflight, max_queued=args.max_queued)
-    stop = threading.Event()
 
-    def _on_signal(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    try:
-        server = start_server(
+    def start():
+        return start_server(
             engine,
-            host=args.host,
-            port=args.port,
-            background=True,
-            verbose=args.verbose,
-            request_timeout=args.request_timeout,
-            shedder=shedder,
-            threads=args.threads,
             read_only=True,
             role=f"shard-{args.shard_id}",
             extra_health=lambda: {
@@ -636,100 +612,54 @@ def _cmd_shard(args: argparse.Namespace) -> int:
                 "replica": args.replica,
                 "partitions": len(assigned),
             },
-            span_dir=args.span_dir,
-            profiler=not args.no_profiler,
-            slow_log_path=args.slow_query_log,
-            slow_query_ms=args.slow_query_ms,
+            **_server_options(args),
         )
-    except OSError as exc:
-        store.close()
-        raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
-    bound_port = server.server_address[1]
-    if args.endpoint_file:
-        write_endpoint_file(
-            args.endpoint_file,
-            {
-                "host": args.host,
-                "port": bound_port,
-                "pid": os.getpid(),
-                "shard": args.shard_id,
-                "replica": args.replica,
-            },
+
+    def describe(port: int) -> str:
+        if args.endpoint_file:
+            write_endpoint_file(
+                args.endpoint_file,
+                {
+                    "host": args.host,
+                    "port": port,
+                    "pid": os.getpid(),
+                    "shard": args.shard_id,
+                    "replica": args.replica,
+                },
+            )
+        return (
+            f"# shard {args.shard_id} replica {args.replica}: "
+            f"{len(assigned)} partition(s) of {len(manifest.partitions)} "
+            f"on http://{args.host}:{port}"
         )
-    _print_listening(args.host, bound_port, f"shard-{args.shard_id}")
-    print(
-        f"# shard {args.shard_id} replica {args.replica}: "
-        f"{len(assigned)} partition(s) of {len(manifest.partitions)} "
-        f"on http://{args.host}:{bound_port}",
-        file=sys.stderr,
-    )
-    try:
-        stop.wait()
-        server.graceful_shutdown(drain_timeout=args.drain_timeout)
-    finally:
-        store.close()
-    return 0
+
+    return _serve_until_signal(args, start, describe, store.close)
 
 
 def _cmd_router(args: argparse.Namespace) -> int:
-    import signal
-    import threading
+    from repro.cluster import Router, start_router
 
-    from repro.cluster import ClusterManifest, Router, start_router
-    from repro.resilience.shed import LoadShedder
-
-    manifest = ClusterManifest.load(args.manifest)
-    space = None
-    input_path = args.input or manifest.input_path
-    if input_path:
-        space = _load_space(input_path)
+    manifest, space = _load_manifest(args)
     router = Router(
         manifest,
         space=space,
         manifest_path=args.manifest,
         shard_timeout=args.shard_timeout,
     )
-    stop = threading.Event()
 
-    def _on_signal(signum, frame):
-        stop.set()
+    def start():
+        return start_router(router, reuse_port=args.reuse_port, **_server_options(args))
 
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
-    try:
-        server = start_router(
-            router,
-            host=args.host,
-            port=args.port,
-            background=True,
-            verbose=args.verbose,
-            threads=args.threads,
-            reuse_port=args.reuse_port,
-            shedder=LoadShedder(max_inflight=args.max_inflight, max_queued=args.max_queued),
-            request_timeout=args.request_timeout,
-            span_dir=args.span_dir,
-            profiler=not args.no_profiler,
-            slow_log_path=args.slow_query_log,
-            slow_query_ms=args.slow_query_ms,
+    def describe(port: int) -> str:
+        return (
+            f"# routing {manifest.shards} shard(s) x {manifest.replicas} replica(s), "
+            f"{len(manifest.partitions)} partition(s) on http://{args.host}:{port}"
         )
-    except OSError as exc:
-        raise ReproError(f"cannot bind {args.host}:{args.port}: {exc}") from exc
-    bound_port = server.server_address[1]
-    _print_listening(args.host, bound_port, "router")
-    print(
-        f"# routing {manifest.shards} shard(s) x {manifest.replicas} replica(s), "
-        f"{len(manifest.partitions)} partition(s) on http://{args.host}:{bound_port}",
-        file=sys.stderr,
-    )
-    stop.wait()
-    server.graceful_shutdown(drain_timeout=args.drain_timeout)
-    return 0
+
+    return _serve_until_signal(args, start, describe)
 
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
-    import signal
-    import threading
-
     from repro.cluster import ClusterSupervisor
 
     supervisor = ClusterSupervisor(
@@ -750,13 +680,7 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
         slow_query_dir=args.slow_query_dir,
         slow_query_ms=args.slow_query_ms,
     )
-    stop = threading.Event()
-
-    def _on_signal(signum, frame):
-        stop.set()
-
-    signal.signal(signal.SIGTERM, _on_signal)
-    signal.signal(signal.SIGINT, _on_signal)
+    stop = _stop_on_signal()
     try:
         server = supervisor.start()
     except BaseException:
@@ -906,9 +830,61 @@ def _cmd_top(args: argparse.Namespace) -> int:
     )
 
 
-def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
-    """The telemetry flags shared by serve, shard and router."""
-    telemetry = parser.add_argument_group(
+def _server_parent() -> argparse.ArgumentParser:
+    """The flags serve, shard and router all carry.
+
+    Built fresh for each subcommand: argparse shares a parent's action
+    objects with its children, so one child's ``set_defaults`` would
+    otherwise leak into the others.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    front = parent.add_argument_group(
+        "HTTP front end", "binding, handler pool, admission and drain (docs/resilience.md)"
+    )
+    front.add_argument("--host", default="127.0.0.1")
+    front.add_argument(
+        "--port",
+        type=int,
+        default=8080,
+        help="TCP port; 0 binds an ephemeral port, reported on stdout "
+        "and in /healthz (default %(default)s)",
+    )
+    front.add_argument(
+        "--threads",
+        type=int,
+        default=8,
+        help="fixed handler-thread pool size; 0 reverts to one thread "
+        "per connection (default %(default)s)",
+    )
+    front.add_argument(
+        "--request-timeout",
+        type=float,
+        default=30.0,
+        help="per-connection socket timeout in seconds; a stalled client "
+        "is disconnected instead of pinning a handler thread (default 30)",
+    )
+    front.add_argument(
+        "--max-inflight",
+        type=int,
+        default=64,
+        help="concurrently-executing request bound; excess waits briefly, "
+        "then is shed with 503 + Retry-After (default 64)",
+    )
+    front.add_argument(
+        "--max-queued",
+        type=int,
+        default=128,
+        help="requests allowed to wait for an execution slot (default 128)",
+    )
+    front.add_argument(
+        "--drain-timeout",
+        type=float,
+        default=10.0,
+        help="seconds a SIGTERM'd server waits for in-flight requests "
+        "before exiting (default 10)",
+    )
+    front.add_argument("--verbose", action="store_true", help="log each request to stderr")
+    telemetry = parent.add_argument_group(
         "telemetry", "tracing, profiling and slow queries (docs/observability.md)"
     )
     telemetry.add_argument(
@@ -936,6 +912,28 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
         default=100.0,
         help="slow-query threshold in milliseconds (default 100)",
     )
+    return parent
+
+
+def _server_options(args: argparse.Namespace, **shedding) -> dict:
+    """The :func:`_server_parent` flags as ``start_server``/``start_router``
+    keyword options; ``shedding`` adds load-shedder settings."""
+    from repro.resilience.shed import LoadShedder
+
+    return {
+        "host": args.host,
+        "port": args.port,
+        "threads": args.threads,
+        "verbose": args.verbose,
+        "request_timeout": args.request_timeout,
+        "shedder": LoadShedder(
+            max_inflight=args.max_inflight, max_queued=args.max_queued, **shedding
+        ),
+        "span_dir": args.span_dir,
+        "profiler": not args.no_profiler,
+        "slow_log_path": args.slow_query_log,
+        "slow_query_ms": args.slow_query_ms,
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1050,7 +1048,9 @@ def build_parser() -> argparse.ArgumentParser:
     validate.set_defaults(handler=_cmd_validate)
 
     serve = sub.add_parser(
-        "serve", help="serve a relationship store over HTTP (JSON API)"
+        "serve",
+        parents=[_server_parent()],
+        help="serve a relationship store over HTTP (JSON API)",
     )
     serve.add_argument(
         "--store",
@@ -1062,29 +1062,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="the QB cube file the store was computed from; enables "
         "dataset/dimension filters and POST/DELETE incremental writes",
     )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8080,
-        help="TCP port; 0 binds an ephemeral port, reported on stdout "
-        "and in /healthz (default 8080)",
-    )
-    serve.add_argument(
-        "--threads",
-        type=int,
-        default=8,
-        help="fixed handler-thread pool size; 0 reverts to one thread "
-        "per connection (default 8)",
-    )
     serve.add_argument(
         "--cache-size",
         type=int,
         default=1024,
         help="query-cache entries (0 disables caching)",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log each request to stderr"
     )
     serve.add_argument(
         "--changefeed",
@@ -1102,26 +1084,6 @@ def build_parser() -> argparse.ArgumentParser:
         "hardening", "overload and failure behaviour (docs/resilience.md)"
     )
     hardening.add_argument(
-        "--request-timeout",
-        type=float,
-        default=30.0,
-        help="per-connection socket timeout in seconds; a stalled client "
-        "is disconnected instead of pinning a handler thread (default 30)",
-    )
-    hardening.add_argument(
-        "--max-inflight",
-        type=int,
-        default=64,
-        help="concurrently-executing request bound; excess waits briefly, "
-        "then is shed with 503 + Retry-After (default 64)",
-    )
-    hardening.add_argument(
-        "--max-queued",
-        type=int,
-        default=128,
-        help="requests allowed to wait for an execution slot (default 128)",
-    )
-    hardening.add_argument(
         "--queue-timeout",
         type=float,
         default=0.5,
@@ -1134,13 +1096,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="also trip the storage circuit breaker when most segment "
         "reads are slower than this (default: failure-rate trigger only)",
-    )
-    hardening.add_argument(
-        "--drain-timeout",
-        type=float,
-        default=10.0,
-        help="seconds a SIGTERM'd server waits for in-flight requests "
-        "before exiting (default 10)",
     )
     hardening.add_argument(
         "--scrub-interval",
@@ -1158,7 +1113,6 @@ def build_parser() -> argparse.ArgumentParser:
         "REPRO_CHAOS environment variable is honoured too "
         "(docs/resilience.md)",
     )
-    _add_telemetry_args(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     ingest = sub.add_parser(
@@ -1350,7 +1304,9 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.set_defaults(handler=_cmd_cluster)
 
     shard = sub.add_parser(
-        "shard", help="run one cluster shard worker (normally spawned by `cluster`)"
+        "shard",
+        parents=[_server_parent()],
+        help="run one cluster shard worker (normally spawned by `cluster`)",
     )
     shard.add_argument("--store", required=True, help="segment store directory (.rseg)")
     shard.add_argument("--manifest", required=True, help="cluster manifest (CLUSTER.json)")
@@ -1360,45 +1316,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--input",
         help="QB cube file (default: the manifest's recorded input)",
     )
-    shard.add_argument("--host", default="127.0.0.1")
-    shard.add_argument("--port", type=int, default=0)
     shard.add_argument(
         "--endpoint-file",
         help="atomically write the bound {host, port, pid} here once serving",
     )
-    shard.add_argument("--threads", type=int, default=4)
     shard.add_argument("--cache-size", type=int, default=1024)
-    shard.add_argument("--request-timeout", type=float, default=30.0)
-    shard.add_argument("--max-inflight", type=int, default=64)
-    shard.add_argument("--max-queued", type=int, default=128)
-    shard.add_argument("--drain-timeout", type=float, default=10.0)
-    shard.add_argument("--verbose", action="store_true")
-    _add_telemetry_args(shard)
-    shard.set_defaults(handler=_cmd_shard)
+    shard.set_defaults(handler=_cmd_shard, port=0, threads=4)
 
     router = sub.add_parser(
-        "router", help="run a cluster router over an existing shard tier"
+        "router",
+        parents=[_server_parent()],
+        help="run a cluster router over an existing shard tier",
     )
     router.add_argument("--manifest", required=True, help="cluster manifest (CLUSTER.json)")
     router.add_argument(
         "--input",
         help="QB cube file for routed plans (default: the manifest's input)",
     )
-    router.add_argument("--host", default="127.0.0.1")
-    router.add_argument("--port", type=int, default=8080)
-    router.add_argument("--threads", type=int, default=8)
     router.add_argument(
         "--reuse-port",
         action="store_true",
         help="bind with SO_REUSEPORT so several router processes share the port",
     )
     router.add_argument("--shard-timeout", type=float, default=10.0)
-    router.add_argument("--request-timeout", type=float, default=30.0)
-    router.add_argument("--max-inflight", type=int, default=64)
-    router.add_argument("--max-queued", type=int, default=128)
-    router.add_argument("--drain-timeout", type=float, default=10.0)
-    router.add_argument("--verbose", action="store_true")
-    _add_telemetry_args(router)
     router.set_defaults(handler=_cmd_router)
 
     scrub = sub.add_parser(

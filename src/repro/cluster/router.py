@@ -40,34 +40,29 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, unquote, urlsplit
+from urllib.parse import quote
 
-from repro.errors import OverloadedError, ReproError
+from repro.errors import ReproError, ShardUnavailableError
 from repro.obs import slowlog as _slowlog
-from repro.obs.tracing import (
-    bind_parent_span,
-    bind_trace,
-    current_span_id,
-    new_trace_id,
-    recorder,
-    trace,
-)
+from repro.obs.tracing import current_span_id
 from repro.resilience.breaker import CircuitBreaker, OPEN
-from repro.resilience.deadline import Deadline, bind_deadline, remaining_ms
+from repro.resilience.deadline import remaining_ms
 from repro.resilience.shed import LoadShedder
-from repro.cluster.manifest import ClusterManifest, shard_node
+from repro.cluster.manifest import ClusterManifest
 from repro.cluster.ring import partition_key_str
-from repro.service.metrics import ServiceMetrics
-from repro.service.server import (
-    _STREAMED,
+from repro.service.http import (
+    JSON,
     MAX_LONGPOLL_SECONDS,
-    _HandlerPool,
+    PROMETHEUS,
+    HTTPServer,
+    Reply,
+    RequestHandler,
+    Route,
     _HTTPError,
-    _sse_metrics,
-    pooled_handle,
+    query_param,
 )
+from repro.service.metrics import ServiceMetrics
 
 __all__ = ["Router", "RouterServer", "ShardUnavailableError", "start_router"]
 
@@ -125,18 +120,6 @@ def _metrics():
             ),
         }
     return _METRICS
-
-
-class ShardUnavailableError(ReproError):
-    """Every replica of a required shard refused or failed."""
-
-    def __init__(self, shard: int, detail: str, retry_after: float = 1.0):
-        super().__init__(
-            f"shard {shard} is unavailable ({detail}); the answer would be "
-            "incomplete, failing instead"
-        )
-        self.shard = shard
-        self.retry_after = retry_after
 
 
 class Replica:
@@ -375,7 +358,7 @@ class Router:
         """One GET on the cached connection, absorbing benign staleness.
 
         A pool-served shard closes kept-alive connections under
-        pressure (see :func:`~repro.service.server.pooled_keepalive`),
+        pressure (see :func:`~repro.service.http.pooled_handle`),
         and an idle one may have timed out server-side since our last
         use.  Hitting that with a *reused* connection is not a replica
         failure — retry exactly once on a fresh connection before
@@ -669,138 +652,47 @@ def merge_changes(bodies: list[dict], limit: int | None = None) -> dict:
 # ----------------------------------------------------------------------
 # The HTTP front end
 # ----------------------------------------------------------------------
-class RouterHandler(BaseHTTPRequestHandler):
+def _quote(uri: str) -> str:
+    return quote(uri, safe="")
+
+
+def _scattered(relation: str, rank=None):
+    """The route answering ``relation`` for one observation: neighbour
+    lists union across shards, ``rank(bodies, k)`` re-ranks a top-k."""
+
+    def route(handler: "RouterHandler", query: dict, uri: str):
+        k = query_param(query, "k", 10) if rank else None
+
+        def merge(bodies: list[dict]) -> dict:
+            merged = rank(bodies, k) if rank else merge_relation_lists(relation, bodies)
+            return {"uri": uri, relation: merged}
+
+        path = f"/observations/{_quote(uri)}/{relation}{handler._suffix()}"
+        return handler._fan_out(handler.server.router.plan(relation, uri), path, merge)
+
+    return route
+
+
+class RouterHandler(RequestHandler):
     """Routes one request onto the shard tier."""
 
     server: "RouterServer"
-    protocol_version = "HTTP/1.1"
+    span_name = "router.request"
 
-    def setup(self) -> None:
-        self.timeout = self.server.request_timeout
-        super().setup()
-
-    def handle(self) -> None:
-        if getattr(self.server, "_pool", None) is not None:
-            pooled_handle(self)
-        else:
-            super().handle()
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _reply(self, status, payload, content_type="application/json", headers=None):
-        body = (
-            payload
-            if isinstance(payload, bytes)
-            else payload.encode("utf-8")
-            if isinstance(payload, str)
-            else json.dumps(payload, default=str).encode("utf-8")
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _request_deadline(self) -> Deadline | None:
-        raw = self.headers.get("X-Deadline-Ms")
-        if raw is None:
-            return None
-        try:
-            return Deadline(float(raw))
-        except ValueError:
+    def _route(self, method: str, segments: list[str], query: dict):
+        if method != "GET":
             raise _HTTPError(
-                400, f"X-Deadline-Ms must be a positive number of milliseconds, got {raw!r}"
-            ) from None
-
-    def _dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
-        segments = [unquote(part) for part in split.path.split("/") if part]
-        query = {key: values[-1] for key, values in parse_qs(split.query).items()}
-        self._trace_id = self.headers.get("X-Trace-Id") or new_trace_id()
-        parent_span_id = self.headers.get("X-Span-Id") or None
-        deadline_header = self.headers.get("X-Deadline-Ms")
-        started = time.perf_counter()
-        slow_token = _slowlog.begin_request()
-        try:
-            with bind_trace(self._trace_id), bind_parent_span(parent_span_id), trace(
-                "router.request", method=method, path=split.path, role="router"
-            ) as span:
-                if deadline_header is not None:
-                    span.fields["deadline_ms"] = deadline_header
-                self._dispatch_traced(method, segments, query, split.query, span, started)
-        finally:
-            _slowlog.end_request(slow_token)
-
-    def _dispatch_traced(self, method, segments, query, rawquery, span, started) -> None:
-        endpoint = "unknown"
-        status = 500
-        try:
-            with self.server.shedder.admitted():
-                with bind_deadline(self._request_deadline()):
-                    endpoint, status, payload, content_type = self._route(
-                        method, segments, query, rawquery
-                    )
-                    if payload is not _STREAMED:
-                        self._reply(status, payload, content_type)
-        except _HTTPError as exc:
-            status = exc.status
-            self._reply(status, {"error": str(exc)})
-        except OverloadedError as exc:
-            status = 503
-            self._reply(
-                status,
-                {"error": str(exc)},
-                headers={"Retry-After": str(max(1, round(exc.retry_after)))},
+                501,
+                "the cluster router serves reads; incremental writes go "
+                "through the store's single writer (`repro serve`), and "
+                "shards pick them up from its WAL at the next restart",
             )
-        except ShardUnavailableError as exc:
-            status = 503
-            self._reply(
-                status,
-                {"error": str(exc)},
-                headers={"Retry-After": str(max(1, round(exc.retry_after)))},
-            )
-        except ReproError as exc:
-            status = 400
-            self._reply(status, {"error": str(exc)})
-        except BrokenPipeError:
-            status = 499
-        except Exception as exc:  # pragma: no cover - defensive
-            status = 500
-            self._reply(status, {"error": f"internal error: {exc}"})
-        finally:
-            span.fields["endpoint"] = endpoint
-            span.fields["status"] = status
-            elapsed = time.perf_counter() - started
-            self.server.metrics.observe(endpoint, status, elapsed)
-            log = _slowlog.get_slow_log()
-            if log is not None:
-                log.maybe_record(
-                    endpoint,
-                    elapsed,
-                    status=status,
-                    trace_id=self._trace_id,
-                    span_id=span.span_id,
-                    role="router",
-                    deadline_ms=span.fields.get("deadline_ms"),
-                )
-
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
+        return super()._route(method, segments, query)
 
     # ------------------------------------------------------------------
+    def _suffix(self) -> str:
+        return f"?{self.query_string}" if self.query_string else ""
+
     def _subrequest_headers(self) -> dict:
         headers = {"X-Trace-Id": self._trace_id}
         # The open router span rides along so the shard's request span
@@ -834,124 +726,71 @@ class RouterHandler(BaseHTTPRequestHandler):
         first = responses[0]
         raise _HTTPError(first[1], json.loads(first[3]).get("error", "shard error"))
 
-    def _proxy(self, shard: int, path: str):
-        """Byte-for-byte pass-through of a one-shard plan."""
+    def _fan_out(self, shards: list[int], path: str, merge):
+        """Proxy a one-shard plan byte-for-byte; scatter a wider one and
+        ``merge`` the gathered bodies."""
+        if len(shards) > 1:
+            return merge(self._gather_bodies(shards, path))
         status, headers, body = self.server.router.call_shard(
-            shard, path, self._subrequest_headers()
+            shards[0], path, self._subrequest_headers()
         )
-        return status, body, headers.get("Content-Type", "application/json")
-
-    def _relation_list(self, uri: str, relation: str) -> list[str]:
-        """Merged relation neighbours (the transitive walk's step)."""
-        quoted = _quote(uri)
-        shards = self.server.router.plan(relation, uri)
-        bodies = self._gather_bodies(shards, f"/observations/{quoted}/{relation}")
-        return merge_relation_lists(relation, bodies)
+        return Reply(status, body, headers.get("Content-Type", JSON))
 
     # ------------------------------------------------------------------
-    # Changefeed: scatter every shard's read-only feed view, merge in
-    # offset order.  All shards read the same store-level feed, so the
-    # merge collapses duplicate offsets — it exists so the page stays
-    # correct when replicas lag each other on the active segment.
+    # Process endpoints
     # ------------------------------------------------------------------
-    def _read_changes(self, query: dict, rawquery: str):
-        if "commit" in query:
-            raise _HTTPError(
-                501,
-                "the cluster router serves reads; consumer commits go "
-                "through the store's single writer (`repro serve`)",
-            )
-        shards = self.server.router.plan("changes")
-        suffix = f"?{rawquery}" if rawquery else ""
-        # A long-poll wait pins the shard socket on purpose for up to
-        # the (policy-capped) requested timeout; give the subrequest
-        # that long *plus* the normal shard budget, or an idle feed
-        # would time out the socket on every replica and trip their
-        # breakers (the shard caps its own wait identically).
-        wait = min(max(_float_param(query, "timeout", 0.0), 0.0), MAX_LONGPOLL_SECONDS)
-        timeout = self.server.router.shard_timeout + wait if wait > 0 else None
-        bodies = self._gather_bodies(shards, f"/changes{suffix}", timeout=timeout)
-        limit = _int_param(query, "limit", None)
-        return "changes", 200, merge_changes(bodies, limit), "application/json"
+    def _healthz(self, query: dict):
+        router = self.server.router
+        ok, up = router.healthy()
+        router._update_replica_gauges()
+        return {
+            "status": "ok" if ok else "degraded",
+            "role": "router",
+            "port": self.server.server_address[1],
+            "shards": router.manifest.shards,
+            "replicas": router.manifest.replicas,
+            "replicas_up": {str(shard): count for shard, count in up.items()},
+            "partitions": len(router.manifest.partitions),
+            "manifest_generation": router.manifest.generation,
+        }
 
-    def _stream_changes(self, query: dict):
-        """Router-side SSE: poll the shard tier, emit merged events.
+    def _metrics(self, query: dict):
+        local = self.server.metrics.render(None)
+        if query.get("local"):
+            return Reply(200, local, PROMETHEUS)
+        # Federation: one scrape covering the whole tier.  Every
+        # replica's exposition is parsed and re-labelled by
+        # shard/replica; the router's own series stay unlabelled.
+        # A sick replica degrades to an error counter, never a 5xx
+        # — blinding the operator mid-incident is the worst case.
+        from repro.obs.exposition import federate
 
-        Resume semantics mirror the single-process server: the
-        standard ``Last-Event-ID`` header (or ``since=``) picks the
-        cursor; idle polls emit ``: heartbeat`` comments.
-        """
-        last_event = self.headers.get("Last-Event-ID")
-        if last_event is not None:
-            try:
-                cursor = int(last_event)
-            except ValueError:
-                raise _HTTPError(
-                    400, f"Last-Event-ID must be an offset, got {last_event!r}"
-                ) from None
-        else:
-            cursor = _int_param(query, "since", 0)
-        if cursor < 0:
-            raise _HTTPError(400, f"since must be >= 0, got {cursor}")
-        heartbeat = min(max(_float_param(query, "heartbeat", 15.0), 0.5), 60.0)
-        max_seconds = _float_param(query, "max_seconds", 0.0)
-
-        self.close_connection = True
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-cache")
-        if self._trace_id:
-            self.send_header("X-Trace-Id", self._trace_id)
-        self.end_headers()
-        metrics = _sse_metrics()
-        metrics["streams"].inc()
-        started = time.monotonic()
-        try:
-            while True:
-                if self.server.shedder.closed:
-                    break
-                budget = heartbeat
-                if max_seconds > 0:
-                    budget = min(budget, max_seconds - (time.monotonic() - started))
-                    if budget <= 0:
-                        break
-                records = []
-                try:
-                    shards = self.server.router.plan("changes")
-                    # Socket timeout must exceed the long-poll wait the
-                    # shard honours, or every idle beat would count as
-                    # a replica failure against its breaker.
-                    bodies = self._gather_bodies(
-                        shards,
-                        f"/changes?since={cursor}&timeout={budget:.3f}&limit=500",
-                        timeout=self.server.router.shard_timeout + budget,
+        metrics = _metrics()
+        results = self.server.router.broadcast("/metrics", self._subrequest_headers())
+        scrapes = []
+        for shard, replica, status, body in results:
+            if status == 200:
+                scrapes.append(
+                    (
+                        {"shard": str(shard), "replica": str(replica)},
+                        body.decode("utf-8", "replace"),
                     )
-                    records = merge_changes(bodies)["changes"]
-                except (_HTTPError, ShardUnavailableError):
-                    # The tier is briefly unreachable (respawning
-                    # replica, feed not created yet): keep the stream
-                    # alive and retry next beat.
-                    time.sleep(min(budget, 0.5))
-                if records:
-                    for record in records:
-                        body = json.dumps(record, default=str)
-                        self.wfile.write(
-                            f"id: {record['offset']}\ndata: {body}\n\n".encode("utf-8")
-                        )
-                    cursor = records[-1]["offset"]
-                    self.wfile.flush()
-                    metrics["events"].inc(len(records))
-                else:
-                    self.wfile.write(b": heartbeat\n\n")
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError, OSError):
-            pass
-        finally:
-            metrics["streams"].inc(-1.0)
-        return "changes-stream", 200, _STREAMED, None
+                )
+            else:
+                metrics["federation_errors"].inc()
+        body, problems = federate(scrapes, base=local)
+        metrics["federated"].inc()
+        if problems:
+            metrics["federation_errors"].inc(len(problems))
+        return Reply(200, body, PROMETHEUS)
 
-    # ------------------------------------------------------------------
-    def _gather_trace(self, trace_id: str):
+    def _stats(self, query: dict):
+        return self.server.router.stats()
+
+    def _cluster(self, query: dict):
+        return self.server.router.manifest.to_dict()
+
+    def _debug_trace(self, query: dict, trace_id: str):
         """Scatter/gather every replica's span store into one trace.
 
         The router's own spans (this very request included, minus the
@@ -960,10 +799,7 @@ class RouterHandler(BaseHTTPRequestHandler):
         Unreachable replicas are reported, not fatal — a partial trace
         beats none during an incident.
         """
-        from repro.obs.spanstore import get_span_store
-
-        span_store = get_span_store()
-        records = list(span_store.spans_for(trace_id)) if span_store is not None else []
+        records = list(super()._debug_trace(query, trace_id)["spans"])
         sources = [{"role": "router", "count": len(records)}]
         errors = []
         results = self.server.router.broadcast(
@@ -989,269 +825,139 @@ class RouterHandler(BaseHTTPRequestHandler):
                     fields.setdefault("replica", replica)
                     records.append(record)
             sources.append({**where, "count": len(spans)})
-        seen: set[str] = set()
-        unique: list[dict] = []
-        for record in records:
-            span_id = record.get("span_id")
-            if span_id and span_id in seen:
-                continue
-            if span_id:
-                seen.add(span_id)
-            unique.append(record)
-        return (
-            "debug-trace",
-            200,
-            {
-                "trace_id": trace_id,
-                "count": len(unique),
-                "sources": sources,
-                "errors": errors,
-                "spans": unique,
-            },
-            "application/json",
-        )
+        # One record per span ID, first seen wins; ID-less records all stay.
+        unique = list({record.get("span_id") or id(record): record for record in records}.values())
+        return {
+            "trace_id": trace_id,
+            "count": len(unique),
+            "sources": sources,
+            "errors": errors,
+            "spans": unique,
+        }
 
     # ------------------------------------------------------------------
-    def _route(self, method: str, segments: list[str], query: dict, rawquery: str):
-        router = self.server.router
-        if method in ("POST", "DELETE"):
+    # Changefeed: scatter every shard's read-only feed view, merge in
+    # offset order.  All shards read the same store-level feed, so the
+    # merge collapses duplicate offsets — it exists so the page stays
+    # correct when replicas lag each other on the active segment.
+    # ------------------------------------------------------------------
+    def _read_changes(self, query: dict):
+        if "commit" in query:
             raise _HTTPError(
                 501,
-                "the cluster router serves reads; incremental writes go "
-                "through the store's single writer (`repro serve`), and "
-                "shards pick them up from its WAL at the next restart",
+                "the cluster router serves reads; consumer commits go "
+                "through the store's single writer (`repro serve`)",
             )
-        if segments == ["healthz"]:
-            ok, up = router.healthy()
-            router._update_replica_gauges()
-            return (
-                "healthz",
-                200,
-                {
-                    "status": "ok" if ok else "degraded",
-                    "role": "router",
-                    "port": self.server.server_address[1],
-                    "shards": router.manifest.shards,
-                    "replicas": router.manifest.replicas,
-                    "replicas_up": {str(shard): count for shard, count in up.items()},
-                    "partitions": len(router.manifest.partitions),
-                    "manifest_generation": router.manifest.generation,
-                },
-                "application/json",
-            )
-        if segments == ["metrics"]:
-            content_type = "text/plain; version=0.0.4; charset=utf-8"
-            local = self.server.metrics.render(None)
-            if query.get("local"):
-                return "metrics", 200, local, content_type
-            # Federation: one scrape covering the whole tier.  Every
-            # replica's exposition is parsed and re-labelled by
-            # shard/replica; the router's own series stay unlabelled.
-            # A sick replica degrades to an error counter, never a 5xx
-            # — blinding the operator mid-incident is the worst case.
-            from repro.obs.exposition import federate
+        limit = query_param(query, "limit", None)
+        # A long-poll wait pins the shard socket on purpose for up to
+        # the (policy-capped) requested timeout; give the subrequest
+        # that long *plus* the normal shard budget, or an idle feed
+        # would time out the socket on every replica and trip their
+        # breakers (the shard caps its own wait identically).
+        wait = min(query_param(query, "timeout", 0.0, float), MAX_LONGPOLL_SECONDS)
+        router = self.server.router
+        timeout = router.shard_timeout + wait if wait > 0 else None
+        bodies = self._gather_bodies(
+            router.plan("changes"), f"/changes{self._suffix()}", timeout=timeout
+        )
+        return merge_changes(bodies, limit)
 
-            metrics = _metrics()
-            results = router.broadcast("/metrics", self._subrequest_headers())
-            scrapes = []
-            for shard, replica, status, body in results:
-                if status == 200:
-                    scrapes.append(
-                        (
-                            {"shard": str(shard), "replica": str(replica)},
-                            body.decode("utf-8", "replace"),
-                        )
-                    )
-                else:
-                    metrics["federation_errors"].inc()
-            body, problems = federate(scrapes, base=local)
-            metrics["federated"].inc()
-            if problems:
-                metrics["federation_errors"].inc(len(problems))
-            return "metrics", 200, body, content_type
-        if segments == ["stats"]:
-            return "stats", 200, router.stats(), "application/json"
-        if segments == ["debug", "vars"]:
-            from repro.obs.profile import get_continuous_profiler
-            from repro.obs.registry import get_registry
-            from repro.obs.spanstore import get_span_store
+    def _stream_changes(self, query: dict):
+        """Router-side SSE: poll the shard tier, emit merged events."""
+        router = self.server.router
 
-            spans = recorder()
-            span_store = get_span_store()
-            slow_log = _slowlog.get_slow_log()
-            profiler = get_continuous_profiler()
-            payload = {
-                "metrics": get_registry().snapshot(),
-                "top_spans": spans.top_spans(20),
-                "recent_spans": spans.recent(20),
-                "spanstore": span_store.stats() if span_store is not None else None,
-                "slow_query_log": slow_log.stats() if slow_log is not None else None,
-                "profiler": profiler.as_dict(10) if profiler is not None else None,
-            }
-            return "debug-vars", 200, payload, "application/json"
-        if segments[:2] == ["debug", "trace"]:
-            if len(segments) != 3:
-                raise _HTTPError(404, "use /debug/trace/<trace_id>")
-            return self._gather_trace(segments[2])
-        if segments == ["debug", "profile"]:
-            from repro.obs.profile import get_continuous_profiler
-
-            profiler = get_continuous_profiler()
-            if profiler is None:
-                raise _HTTPError(404, "continuous profiler not running")
-            limit = _int_param(query, "limit", None)
-            if query.get("format") == "json":
-                return (
-                    "debug-profile",
-                    200,
-                    profiler.as_dict(limit if limit is not None else 20),
-                    "application/json",
+        def fetch(cursor: int, budget: float) -> list[dict]:
+            try:
+                # Socket timeout must exceed the long-poll wait the
+                # shard honours, or every idle beat would count as a
+                # replica failure against its breaker.
+                bodies = self._gather_bodies(
+                    router.plan("changes"),
+                    f"/changes?since={cursor}&timeout={budget:.3f}&limit=500",
+                    timeout=router.shard_timeout + budget,
                 )
-            return "debug-profile", 200, profiler.render(limit), "text/plain; charset=utf-8"
-        if segments == ["cluster"]:
-            return "cluster", 200, router.manifest.to_dict(), "application/json"
-        if segments and segments[0] == "changes":
-            if len(segments) == 1:
-                return self._read_changes(query, rawquery)
-            if segments == ["changes", "stream"]:
-                return self._stream_changes(query)
-            raise _HTTPError(404, f"no route for {'/'.join(segments)}")
-        if not segments or segments[0] != "observations":
-            raise _HTTPError(404, f"no route for {'/'.join(segments) or '/'}")
+                return merge_changes(bodies)["changes"]
+            except (_HTTPError, ShardUnavailableError):
+                # The tier is briefly unreachable (respawning replica,
+                # feed not created yet): keep the stream alive and
+                # retry next beat.
+                time.sleep(min(budget, 0.5))
+                return []
 
-        suffix = f"?{rawquery}" if rawquery else ""
-        if len(segments) == 1:
-            # The shard index registers every space observation, so any
-            # one shard can answer a listing when the space is loaded;
-            # without one, union the shard-local views.
-            if router._locate:
-                shards = router.plan_single(f"list:{query.get('dataset', '')}")
-                status, body, content_type = self._proxy(shards[0], f"/observations{suffix}")
-                return "list", status, body, content_type
-            shards = router.plan("list")
-            bodies = self._gather_bodies(shards, f"/observations{suffix}")
-            limit = _int_param(query, "limit", None)
-            return "list", 200, merge_observation_lists(bodies, limit), "application/json"
+        return self.stream_events(query, fetch, lambda: query_param(query, "since", 0))
 
-        uri = segments[1]
-        quoted = _quote(uri)
-        if len(segments) == 2:
-            shards = router.plan("summary", uri)
-            if len(shards) == 1:
-                status, body, content_type = self._proxy(shards[0], f"/observations/{quoted}")
-                return "observation", status, body, content_type
-            bodies = self._gather_bodies(shards, f"/observations/{quoted}")
-            return "observation", 200, merge_summary(bodies), "application/json"
+    # ------------------------------------------------------------------
+    # Observations
+    # ------------------------------------------------------------------
+    def _list_observations(self, query: dict):
+        limit = query_param(query, "limit", None)
+        router = self.server.router
+        path = f"/observations{self._suffix()}"
+        # The shard index registers every space observation, so any
+        # one shard can answer a listing when the space is loaded;
+        # without one, union the shard-local views.
+        if router._locate:
+            shards = router.plan_single(f"list:{query.get('dataset', '')}")
+            return self._fan_out(shards, path, None)
+        bodies = self._gather_bodies(router.plan("list"), path)
+        return merge_observation_lists(bodies, limit)
 
-        if len(segments) != 3:
-            raise _HTTPError(404, f"no route for {'/'.join(segments)}")
-        relation = segments[2]
-        if relation in ("containers", "contained", "complements"):
-            shards = router.plan(relation, uri)
-            if len(shards) == 1:
-                status, body, content_type = self._proxy(
-                    shards[0], f"/observations/{quoted}/{relation}"
-                )
-                return relation, status, body, content_type
-            bodies = self._gather_bodies(shards, f"/observations/{quoted}/{relation}")
-            return (
-                relation,
-                200,
-                {"uri": uri, relation: merge_relation_lists(relation, bodies)},
-                "application/json",
-            )
-        if relation == "related":
-            k = _int_param(query, "k", 10)
-            shards = router.plan("related", uri)
-            if len(shards) == 1:
-                status, body, content_type = self._proxy(
-                    shards[0], f"/observations/{quoted}/related{suffix}"
-                )
-                return "related", status, body, content_type
-            bodies = self._gather_bodies(shards, f"/observations/{quoted}/related{suffix}")
-            return (
-                "related",
-                200,
-                {"uri": uri, "related": merge_related(bodies, k)},
-                "application/json",
-            )
-        if relation == "partial":
-            k = _int_param(query, "k", 10)
-            shards = router.plan("partial", uri)
-            if len(shards) == 1:
-                status, body, content_type = self._proxy(
-                    shards[0], f"/observations/{quoted}/partial{suffix}"
-                )
-                return "partial", status, body, content_type
-            bodies = self._gather_bodies(shards, f"/observations/{quoted}/partial{suffix}")
-            return (
-                "partial",
-                200,
-                {"uri": uri, "partial": merge_partial(bodies, k)},
-                "application/json",
-            )
-        if relation == "transitive":
-            direction = query.get("direction", "up")
-            if direction not in ("up", "down"):
-                raise _HTTPError(400, f"direction must be 'up' or 'down', got {direction!r}")
-            max_depth = _int_param(query, "max_depth", None)
-            step = "containers" if direction == "up" else "contained"
-            # Router-side BFS: each hop may live on a different shard,
-            # so the walk itself is the scatter unit.
-            visited = {uri}
-            frontier = [uri]
-            depth = 0
-            reachable: list[dict] = []
-            while frontier and (max_depth is None or depth < max_depth):
-                depth += 1
-                next_frontier: list[str] = []
-                for node in frontier:
-                    for neighbour in self._relation_list(node, step):
-                        if neighbour not in visited:
-                            visited.add(neighbour)
-                            reachable.append({"uri": neighbour, "depth": depth})
-                            next_frontier.append(neighbour)
-                frontier = next_frontier
-            return (
-                "transitive",
-                200,
-                {"uri": uri, "direction": direction, "reachable": reachable},
-                "application/json",
-            )
-        raise _HTTPError(404, f"unknown relation {relation!r}")
+    def _summary(self, query: dict, uri: str):
+        path = f"/observations/{_quote(uri)}"
+        return self._fan_out(self.server.router.plan("summary", uri), path, merge_summary)
+
+    def _transitive(self, query: dict, uri: str):
+        direction = query.get("direction", "up")
+        if direction not in ("up", "down"):
+            raise _HTTPError(400, f"direction must be 'up' or 'down', got {direction!r}")
+        max_depth = query_param(query, "max_depth", None)
+        step = "containers" if direction == "up" else "contained"
+        router = self.server.router
+        # Router-side BFS: each hop may live on a different shard, so
+        # the walk itself is the scatter unit.
+        visited = {uri}
+        frontier = [uri]
+        depth = 0
+        reachable: list[dict] = []
+        while frontier and (max_depth is None or depth < max_depth):
+            depth += 1
+            next_frontier: list[str] = []
+            for node in frontier:
+                path = f"/observations/{_quote(node)}/{step}"
+                bodies = self._gather_bodies(router.plan(step, node), path)
+                for neighbour in merge_relation_lists(step, bodies):
+                    if neighbour not in visited:
+                        visited.add(neighbour)
+                        reachable.append({"uri": neighbour, "depth": depth})
+                        next_frontier.append(neighbour)
+            frontier = next_frontier
+        return {"uri": uri, "direction": direction, "reachable": reachable}
+
+    routes = (
+        Route("GET", "/healthz", "healthz", _healthz),
+        Route("GET", "/metrics", "metrics", _metrics),
+        Route("GET", "/stats", "stats", _stats),
+        Route("GET", "/cluster", "cluster", _cluster),
+        *RequestHandler.debug_routes,
+        Route("GET", "/changes", "changes", _read_changes),
+        Route("GET", "/changes/stream", "changes-stream", _stream_changes),
+        Route("GET", "/observations", "list", _list_observations),
+        Route("GET", "/observations/<id>", "observation", _summary),
+        *(
+            Route("GET", f"/observations/<id>/{relation}", relation, _scattered(relation))
+            for relation in ("containers", "contained", "complements")
+        ),
+        Route("GET", "/observations/<id>/related", "related", _scattered("related", merge_related)),
+        Route("GET", "/observations/<id>/partial", "partial", _scattered("partial", merge_partial)),
+        Route("GET", "/observations/<id>/transitive", "transitive", _transitive),
+    )
 
 
-def _quote(uri: str) -> str:
-    from urllib.parse import quote
-
-    return quote(uri, safe="")
-
-
-def _int_param(query: dict, name: str, default):
-    raw = query.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise _HTTPError(400, f"query parameter {name!r} must be an integer, got {raw!r}") from None
-
-
-def _float_param(query: dict, name: str, default):
-    raw = query.get(name)
-    if raw is None:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise _HTTPError(400, f"query parameter {name!r} must be a number, got {raw!r}") from None
-
-
-class RouterServer(ThreadingHTTPServer):
+class RouterServer(HTTPServer):
     """The router's pooled HTTP front end."""
 
-    daemon_threads = True
-    allow_reuse_address = True
+    thread_name = "repro-router"
+    role = "router"
 
     def __init__(
         self,
@@ -1269,32 +975,15 @@ class RouterServer(ThreadingHTTPServer):
         slow_log_path: str | None = None,
         slow_query_ms: float = 100.0,
     ):
-        self.keepalive_idle = float(keepalive_idle)
+        self.router = router
         #: SO_REUSEPORT lets several router processes share one port —
         #: the kernel load-balances accepted connections across them,
         #: which is how the router tier itself scales past one process.
         self.reuse_port = bool(reuse_port)
-        super().__init__(address, RouterHandler)
-        self.router = router
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.verbose = verbose
-        self.request_timeout = float(request_timeout)
-        self.shedder = shedder if shedder is not None else LoadShedder()
-        self._pool = _HandlerPool(self, threads) if threads and threads > 0 else None
-        from repro.obs import preregister
-        from repro.obs.spanstore import install_span_store
-
-        preregister()
-        _metrics()  # the repro_cluster_* families appear on first scrape
-        install_span_store(span_dir)
-        if profiler:
-            from repro.obs.profile import start_continuous_profiler
-
-            start_continuous_profiler()
-        if slow_log_path:
-            from repro.obs.slowlog import install_slow_log
-
-            install_slow_log(slow_log_path, threshold_ms=slow_query_ms)
+        super().__init__(
+            address, RouterHandler, metrics, verbose, request_timeout, shedder,
+            threads, keepalive_idle, span_dir, profiler, slow_log_path, slow_query_ms,
+        )
 
     def server_bind(self):
         if self.reuse_port:
@@ -1306,24 +995,9 @@ class RouterServer(ThreadingHTTPServer):
                 pass
         super().server_bind()
 
-    def process_request(self, request, client_address):
-        if self._pool is not None:
-            self._pool.submit(request, client_address)
-        else:
-            super().process_request(request, client_address)
-
     def server_close(self):
         super().server_close()
-        if self._pool is not None:
-            self._pool.stop()
         self.router.close()
-
-    def graceful_shutdown(self, drain_timeout: float = 10.0) -> bool:
-        self.shedder.close()
-        drained = self.shedder.drain(timeout=drain_timeout)
-        self.shutdown()
-        self.server_close()
-        return drained
 
 
 def start_router(
@@ -1343,26 +1017,8 @@ def start_router(
 ) -> RouterServer:
     """Bind a :class:`RouterServer` and (optionally) serve in background."""
     server = RouterServer(
-        (host, port),
-        router,
-        verbose=verbose,
-        threads=threads,
-        reuse_port=reuse_port,
-        shedder=shedder,
-        request_timeout=request_timeout,
-        span_dir=span_dir,
-        profiler=profiler,
-        slow_log_path=slow_log_path,
-        slow_query_ms=slow_query_ms,
+        (host, port), router, verbose=verbose, request_timeout=request_timeout,
+        shedder=shedder, threads=threads, reuse_port=reuse_port, span_dir=span_dir,
+        profiler=profiler, slow_log_path=slow_log_path, slow_query_ms=slow_query_ms,
     )
-    if background:
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-router", daemon=True
-        )
-        thread.start()
-    else:
-        try:
-            server.serve_forever()
-        finally:
-            server.server_close()
-    return server
+    return server.start(background)

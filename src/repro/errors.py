@@ -192,3 +192,19 @@ class OverloadedError(ResilienceError):
     def __init__(self, message: str, retry_after: float = 1.0):
         super().__init__(message)
         self.retry_after = retry_after
+
+
+class ShardUnavailableError(ReproError):
+    """Every replica of a required cluster shard refused or failed.
+
+    Maps to HTTP 503 with a ``Retry-After`` hint in the serving layer:
+    an incomplete scatter fails loudly instead of answering partially.
+    """
+
+    def __init__(self, shard: int, detail: str, retry_after: float = 1.0):
+        super().__init__(
+            f"shard {shard} is unavailable ({detail}); the answer would be "
+            "incomplete, failing instead"
+        )
+        self.shard = shard
+        self.retry_after = retry_after

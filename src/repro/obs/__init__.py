@@ -114,9 +114,9 @@ def preregister() -> None:
     obs_spanstore._metrics()
     obs_slowlog._metrics()
     obs_profile._prof_metrics()
-    from repro.service import server as service_server
+    from repro.service import http as service_http
 
-    service_server._sse_metrics()
+    service_http._sse_metrics()
     get_registry().counter(
         "repro_storage_lazy_materialisations_total",
         "Lazy segment views materialised on first access.",

@@ -66,7 +66,7 @@ class Deadline:
     __slots__ = ("expires_at", "budget_ms")
 
     def __init__(self, budget_ms: float):
-        if budget_ms <= 0:
+        if not budget_ms > 0:  # also rejects NaN, which compares false
             raise ValueError(f"deadline budget must be positive, got {budget_ms}")
         self.budget_ms = float(budget_ms)
         self.expires_at = time.monotonic() + budget_ms / 1000.0

@@ -1,27 +1,10 @@
 """Stdlib HTTP serving layer for the relationship query engine.
 
-A :class:`RelationshipServer` is a ``ThreadingHTTPServer`` whose
-handler translates a small JSON API onto :class:`QueryEngine` calls.
-Observation ids are percent-encoded URIs in the path::
-
-    GET    /healthz                                liveness + generation
-    GET    /metrics                                Prometheus text format
-    GET    /stats                                  engine/cache/index stats
-    GET    /observations?dataset=&dimension=&limit=
-    GET    /observations/<id>                      relationship profile
-    GET    /observations/<id>/containers           full containers
-    GET    /observations/<id>/contained            fully contained
-    GET    /observations/<id>/complements          complementary
-    GET    /observations/<id>/related?k=           top-k, all relations
-    GET    /observations/<id>/partial?k=&direction=
-    GET    /observations/<id>/transitive?direction=up|down&max_depth=
-    POST   /observations                           incremental insert
-    DELETE /observations/<id>                      incremental retract
-    GET    /changes?since=&timeout=&limit=         changefeed (long-poll)
-    GET    /changes/stream?since=&heartbeat=       changefeed (SSE)
-    GET    /debug/vars                             registry + span snapshot
-    GET    /debug/trace/<trace_id>                 this process's span store
-    GET    /debug/profile?limit=&format=json       collapsed-stack profile
+A :class:`RelationshipServer` is the shared threading front end
+(:mod:`repro.service.http`) whose handler translates a small JSON API
+onto :class:`QueryEngine` calls.  Observation ids are percent-encoded
+URIs in the path; :attr:`RelationshipHandler.routes` is the endpoint
+catalogue, documented in ``docs/service.md``.
 
 Thread safety comes from the engine's readers–writer lock: the handler
 pool serves GETs concurrently under the shared side while POST/DELETE
@@ -49,354 +32,56 @@ The serving path is hardened (see ``docs/resilience.md``):
 from __future__ import annotations
 
 import json
-import queue
-import select
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    OverloadedError,
-    ReproError,
-    ServiceError,
-    UnknownObservationError,
-)
-from repro.obs import slowlog as _slowlog
-from repro.obs.tracing import (
-    bind_parent_span,
-    bind_trace,
-    new_trace_id,
-    recorder,
-    trace,
-)
+from repro.errors import CircuitOpenError, StorageError
 from repro.rdf.terms import URIRef
-from repro.resilience.deadline import Deadline, bind_deadline, current_deadline
-from repro.resilience.faults import inject
+from repro.resilience.deadline import current_deadline
 from repro.resilience.shed import LoadShedder
 from repro.service.engine import QueryEngine
+from repro.service.http import (
+    MAX_CHANGE_BATCH,
+    MAX_LONGPOLL_SECONDS,
+    PROMETHEUS,
+    HTTPServer,
+    Reply,
+    RequestHandler,
+    Route,
+    _HTTPError,
+    _sse_metrics,
+    pooled_handle,  # noqa: F401 - public import path
+    query_param,
+)
 from repro.service.metrics import ServiceMetrics
 
 __all__ = ["RelationshipServer", "start_server"]
 
-#: Header carrying the client's per-request budget in milliseconds.
-DEADLINE_HEADER = "X-Deadline-Ms"
 
-#: Header carrying the caller's open span ID: the request span parents
-#: onto it, so ``/debug/trace/<id>`` can assemble router and shard
-#: spans into one tree across process boundaries.
-SPAN_HEADER = "X-Span-Id"
+def _neighbour_list(relation: str):
+    """The route answering ``relation``'s full neighbour list."""
 
-#: Sentinel a route returns when it already wrote the response itself
-#: (the SSE changefeed stream) — ``_dispatch`` must not reply again.
-_STREAMED = object()
+    def route(handler: "RelationshipHandler", query: dict, uri: str):
+        uri = URIRef(uri)
+        return {"uri": uri, relation: list(getattr(handler.server.engine, relation)(uri))}
 
-#: Long-poll waits are capped so a /changes request cannot pin a pool
-#: worker and a shedder slot indefinitely.
-MAX_LONGPOLL_SECONDS = 60.0
-#: Hard cap on change records per response/SSE write burst.
-MAX_CHANGE_BATCH = 1000
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_SSE_METRICS = None
+    return route
 
 
-def _sse_metrics():
-    global _SSE_METRICS
-    if _SSE_METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _SSE_METRICS = {
-            "events": registry.counter(
-                "repro_stream_sse_events_total",
-                "Change events written to SSE subscribers.",
-            ),
-            "streams": registry.gauge(
-                "repro_stream_sse_subscribers",
-                "Currently connected SSE changefeed subscribers.",
-            ),
-            "longpoll_wait": registry.histogram(
-                "repro_stream_longpoll_wait_seconds",
-                "Time /changes requests spent blocked waiting for new records.",
-                buckets=(0.005, 0.05, 0.25, 1.0, 5.0, 15.0, 30.0, 60.0),
-            ),
-            "sse_write": registry.histogram(
-                "repro_stream_sse_write_seconds",
-                "Per-burst SSE serialisation+flush latency.",
-                buckets=(0.0005, 0.005, 0.05, 0.25, 1.0, 5.0),
-            ),
-        }
-    return _SSE_METRICS
-
-
-class _HTTPError(Exception):
-    """Internal: abort the request with this status/message."""
-
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-
-
-class _HandlerPool:
-    """A fixed pool of worker threads draining accepted connections.
-
-    ``ThreadingHTTPServer`` spawns one thread per connection — under a
-    burst that means thousands of short-lived threads fighting for the
-    GIL before the shedder even runs.  The pool caps handler
-    concurrency at a fixed thread count: the accept loop stays cheap
-    (enqueue only) and excess connections wait in the queue, where the
-    per-connection socket timeout and the shedder still apply once a
-    worker picks them up.
-    """
-
-    _STOP = object()
-
-    def __init__(self, server, size: int):
-        self._server = server
-        self._queue: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads = [
-            threading.Thread(target=self._work, name=f"repro-http-{i}", daemon=True)
-            for i in range(size)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(self, request, client_address) -> None:
-        self._queue.put((request, client_address))
-
-    @property
-    def pending(self) -> int:
-        """Accepted connections still waiting for a worker (approximate)."""
-        return self._queue.qsize()
-
-    def _work(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                return
-            request, client_address = item
-            # Mirrors ThreadingMixIn.process_request_thread, minus the
-            # thread spawn.
-            try:
-                self._server.finish_request(request, client_address)
-            except Exception:
-                self._server.handle_error(request, client_address)
-            finally:
-                self._server.shutdown_request(request)
-
-    def stop(self, timeout: float = 1.0) -> None:
-        for _ in self._threads:
-            self._queue.put(self._STOP)
-        for thread in self._threads:
-            thread.join(timeout=timeout)
-
-
-def pooled_handle(handler) -> None:
-    """Serve a pool-fed keep-alive connection without pinning its worker.
-
-    A fixed worker pool must not let persistent connections monopolise
-    its threads: a handler blocked in ``readline`` waiting for a
-    client's *next* request holds the worker for the whole keep-alive
-    idle period, and once every worker idles like that, newly accepted
-    connections starve in the queue — the classic thread-pool /
-    keep-alive deadlock.  So between requests the worker waits in
-    short ``select`` slices and, at each wake-up, checks the pool's
-    queue: the moment other connections are waiting it stops serving
-    this one (the client transparently reconnects — ``http.client``
-    reopens a closed connection on the next ``request()``), and a
-    connection idle for ``server.keepalive_idle`` seconds is dropped
-    outright.  Active requests keep the full per-connection socket
-    timeout, so stalled-*sender* protection is unchanged.
-
-    (Pipelined requests sitting in the handler's read-ahead buffer
-    would not wake ``select``; HTTP/1.1 pipelining is effectively
-    nobody's client behaviour, and the worst case is the idle-timeout
-    close, which pipelining clients must handle anyway.)
-    """
-    handler.close_connection = True
-    handler.handle_one_request()
-    pool = handler.server._pool
-    idle = getattr(handler.server, "keepalive_idle", 5.0)
-    while not handler.close_connection:
-        deadline = time.monotonic() + idle
-        ready = False
-        while time.monotonic() < deadline:
-            if pool.pending > 0:
-                return  # yield the worker; queued connections go first
-            try:
-                readable, _, _ = select.select([handler.connection], [], [], 0.05)
-            except (OSError, ValueError):  # connection torn down under us
-                return
-            if readable:
-                ready = True
-                break
-        if not ready:
-            return
-        handler.handle_one_request()
-
-
-class RelationshipHandler(BaseHTTPRequestHandler):
+class RelationshipHandler(RequestHandler):
     """Routes one HTTP request onto the server's query engine."""
 
     server: "RelationshipServer"
-    protocol_version = "HTTP/1.1"
+    fault_site = "http.handler"
 
-    # ------------------------------------------------------------------
-    # Plumbing
-    # ------------------------------------------------------------------
-    def setup(self) -> None:
-        # A stalled or vanished client must not hold this handler
-        # thread (and its shedder slot) forever: the socket timeout
-        # turns dead air into a closed connection.
-        self.timeout = self.server.request_timeout
-        super().setup()
-
-    def handle(self) -> None:
-        if getattr(self.server, "_pool", None) is not None:
-            pooled_handle(self)
-        else:
-            super().handle()
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        if self.server.verbose:
-            super().log_message(format, *args)
-
-    def _reply(
-        self,
-        status: int,
-        payload,
-        content_type: str = "application/json",
-        headers: dict | None = None,
-    ) -> None:
-        body = (
-            payload.encode("utf-8")
-            if isinstance(payload, str)
-            else json.dumps(payload, default=str).encode("utf-8")
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _request_deadline(self) -> Deadline | None:
-        """The deadline the ``X-Deadline-Ms`` header asks for, if any."""
-        raw = self.headers.get(DEADLINE_HEADER)
-        if raw is None:
-            return None
-        try:
-            return Deadline(float(raw))
-        except ValueError:
+    def _route(self, method: str, segments: list[str], query: dict):
+        if method != "GET" and self.server.read_only:
             raise _HTTPError(
-                400, f"{DEADLINE_HEADER} must be a positive number of "
-                f"milliseconds, got {raw!r}"
-            ) from None
-
-    def _dispatch(self, method: str) -> None:
-        split = urlsplit(self.path)
-        segments = [unquote(part) for part in split.path.split("/") if part]
-        query = {key: values[-1] for key, values in parse_qs(split.query).items()}
-        # The request's trace ID: honoured from the caller's
-        # ``X-Trace-Id`` header (so a client can stitch our spans into
-        # its own trace), minted otherwise; echoed on every response.
-        # ``X-Span-Id`` names the caller's open span — our request
-        # span becomes its child, which is what stitches the
-        # router→shard hop into one assembled tree.
-        self._trace_id = self.headers.get("X-Trace-Id") or new_trace_id()
-        parent_span_id = self.headers.get(SPAN_HEADER) or None
-        deadline_header = self.headers.get(DEADLINE_HEADER)
-        started = time.perf_counter()
-        slow_token = _slowlog.begin_request()
-        span_id = None
-        try:
-            with bind_trace(self._trace_id), bind_parent_span(parent_span_id), trace(
-                "http.request", method=method, path=split.path, role=self.server.role
-            ) as span:
-                span_id = span.span_id
-                if deadline_header is not None:
-                    span.fields["deadline_ms"] = deadline_header
-                self._dispatch_traced(method, segments, query, span, started)
-        finally:
-            _slowlog.end_request(slow_token)
-
-    def _dispatch_traced(self, method, segments, query, span, started) -> None:
-        endpoint = "unknown"
-        status = 500
-        try:
-            with self.server.shedder.admitted():
-                inject("http.handler")
-                with bind_deadline(self._request_deadline()):
-                    endpoint, status, payload, content_type = self._route(
-                        method, segments, query
-                    )
-                    if payload is not _STREAMED:
-                        self._reply(status, payload, content_type)
-        except _HTTPError as exc:
-            status = exc.status
-            self._reply(status, {"error": str(exc)})
-        except DeadlineExceededError as exc:
-            status = 504
-            self._reply(status, {"error": str(exc)})
-        except (CircuitOpenError, OverloadedError) as exc:
-            # Both are backpressure: tell the client when to come
-            # back instead of letting it hammer a sick server.
-            status = 503
-            self._reply(
-                status,
-                {"error": str(exc)},
-                headers={"Retry-After": str(max(1, round(exc.retry_after)))},
+                405,
+                "this endpoint is read-only (a cluster shard serves a "
+                "routed view; writes go through the store's single writer)",
             )
-        except UnknownObservationError as exc:
-            status = 404
-            self._reply(status, {"error": str(exc)})
-        except ServiceError as exc:
-            status = 409
-            self._reply(status, {"error": str(exc)})
-        except ReproError as exc:
-            status = 400
-            self._reply(status, {"error": str(exc)})
-        except BrokenPipeError:
-            status = 499  # client went away; nothing to send
-        except Exception as exc:  # pragma: no cover - defensive
-            status = 500
-            self._reply(status, {"error": f"internal error: {exc}"})
-        finally:
-            span.fields["endpoint"] = endpoint
-            span.fields["status"] = status
-            elapsed = time.perf_counter() - started
-            self.server.metrics.observe(endpoint, status, elapsed)
-            log = _slowlog.get_slow_log()
-            if log is not None:
-                log.maybe_record(
-                    endpoint,
-                    elapsed,
-                    status=status,
-                    trace_id=self._trace_id,
-                    span_id=span.span_id,
-                    role=self.server.role,
-                    deadline_ms=span.fields.get("deadline_ms"),
-                )
+        return super()._route(method, segments, query)
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-    def do_DELETE(self) -> None:
-        self._dispatch("DELETE")
-
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
     def _engine_stats(self):
         """``engine.stats()``, degraded to ``(None, exc)`` on a storage
         outage.
@@ -406,388 +91,65 @@ class RelationshipHandler(BaseHTTPRequestHandler):
         otherwise 503 the liveness probe — restart loops — and the
         ``/metrics`` scrape — blinding operators mid-incident.
         """
-        from repro.errors import StorageError
-
         try:
             return self.server.engine.stats(), None
         except (CircuitOpenError, StorageError) as exc:
             return None, exc
 
-    def _route(self, method: str, segments: list[str], query: dict):
-        engine = self.server.engine
-        if method in ("POST", "DELETE") and self.server.read_only:
-            raise _HTTPError(
-                405,
-                "this endpoint is read-only (a cluster shard serves a "
-                "routed view; writes go through the store's single writer)",
-            )
-        if segments == ["healthz"] and method == "GET":
-            stats, outage = self._engine_stats()
-            if outage is not None:
-                # Alive but degraded: the process serves, storage is
-                # failing fast.  200 keeps liveness probes from cycling
-                # the process; the body and breaker gauge carry the bad
-                # news.
-                return (
-                    "healthz",
-                    200,
-                    {
-                        "status": "degraded",
-                        "role": self.server.role,
-                        "port": self.server.server_address[1],
-                        "error": str(outage),
-                    },
-                    "application/json",
-                )
-            return (
-                "healthz",
-                200,
-                {
-                    "status": "ok",
-                    "role": self.server.role,
-                    # The *bound* port: with --port 0 this is the
-                    # ephemeral port the OS chose, so probes and the
-                    # cluster supervisor never race on fixed ports.
-                    "port": self.server.server_address[1],
-                    "generation": stats["generation"],
-                    "observations": stats["observations"],
-                    **(self.server.extra_health() if self.server.extra_health else {}),
-                    # Segment-store deployments journal every write; the
-                    # probe surfaces it so operators can alert on a
-                    # serve process that silently lost its WAL.
-                    "persistence": stats["persistence"],
-                    # Storage-layer facts (segment count, WAL tail, last
-                    # repair) when the engine fronts a segment store.
-                    **({"storage": stats["storage"]} if "storage" in stats else {}),
-                },
-                "application/json",
-            )
-        if segments == ["metrics"] and method == "GET":
-            stats, _ = self._engine_stats()  # registry-only scrape on outage
-            body = self.server.metrics.render(stats)
-            return "metrics", 200, body, "text/plain; version=0.0.4; charset=utf-8"
-        if segments == ["stats"] and method == "GET":
-            return "stats", 200, engine.stats(), "application/json"
-        if segments == ["debug", "vars"] and method == "GET":
-            from repro.obs.profile import get_continuous_profiler
-            from repro.obs.registry import get_registry
-            from repro.obs.spanstore import get_span_store
-
-            spans = recorder()
-            span_store = get_span_store()
-            slow_log = _slowlog.get_slow_log()
-            profiler = get_continuous_profiler()
-            payload = {
-                "metrics": get_registry().snapshot(),
-                "top_spans": spans.top_spans(20),
-                "recent_spans": spans.recent(20),
-                "spanstore": span_store.stats() if span_store is not None else None,
-                "slow_query_log": slow_log.stats() if slow_log is not None else None,
-                "profiler": profiler.as_dict(10) if profiler is not None else None,
+    # ------------------------------------------------------------------
+    # Process endpoints
+    # ------------------------------------------------------------------
+    def _healthz(self, query: dict):
+        server = self.server
+        stats, outage = self._engine_stats()
+        # The *bound* port: with --port 0 this is the ephemeral port
+        # the OS chose, so probes and the cluster supervisor never race
+        # on fixed ports.
+        port = server.server_address[1]
+        if outage is not None:
+            # Alive but degraded: the process serves, storage is
+            # failing fast.  200 keeps liveness probes from cycling the
+            # process; the body and breaker gauge carry the bad news.
+            return {
+                "status": "degraded",
+                "role": server.role,
+                "port": port,
+                "error": str(outage),
             }
-            return "debug-vars", 200, payload, "application/json"
-        if segments[:2] == ["debug", "trace"] and method == "GET":
-            if len(segments) != 3:
-                raise _HTTPError(404, "use /debug/trace/<trace_id>")
-            from repro.obs.spanstore import get_span_store
-
-            span_store = get_span_store()
-            records = (
-                span_store.spans_for(segments[2]) if span_store is not None else []
-            )
-            return (
-                "debug-trace",
-                200,
-                {
-                    "trace_id": segments[2],
-                    "role": self.server.role,
-                    "count": len(records),
-                    "spans": records,
-                },
-                "application/json",
-            )
-        if segments == ["debug", "profile"] and method == "GET":
-            from repro.obs.profile import get_continuous_profiler
-
-            profiler = get_continuous_profiler()
-            if profiler is None:
-                raise _HTTPError(
-                    404,
-                    "continuous profiler not running (serve without "
-                    "--no-profiler to enable it)",
-                )
-            limit = self._int_param(query, "limit", None)
-            if query.get("format") == "json":
-                return (
-                    "debug-profile",
-                    200,
-                    profiler.as_dict(limit if limit is not None else 20),
-                    "application/json",
-                )
-            return (
-                "debug-profile",
-                200,
-                profiler.render(limit),
-                "text/plain; charset=utf-8",
-            )
-        if segments and segments[0] == "changes":
-            if method != "GET":
-                raise _HTTPError(405, f"{method} not allowed on /changes")
-            if len(segments) == 1:
-                return self._read_changes(query)
-            if segments == ["changes", "stream"]:
-                return self._stream_changes(query)
-            raise _HTTPError(404, f"no route for {'/'.join(segments)}")
-        if not segments or segments[0] != "observations":
-            raise _HTTPError(404, f"no route for {'/'.join(segments) or '/'}")
-
-        if len(segments) == 1:
-            if method == "GET":
-                return self._list_observations(query)
-            if method == "POST":
-                return self._insert_observations()
-            raise _HTTPError(405, f"{method} not allowed on /observations")
-
-        uri = URIRef(segments[1])
-        if len(segments) == 2:
-            if method == "GET":
-                return "observation", 200, engine.summary(uri), "application/json"
-            if method == "DELETE":
-                delta = engine.remove([uri])
-                return (
-                    "delete",
-                    200,
-                    {
-                        "removed": 1,
-                        "generation": engine.generation,
-                        "pairs_removed": delta.total_removed(),
-                    },
-                    "application/json",
-                )
-            raise _HTTPError(405, f"{method} not allowed on /observations/<id>")
-
-        if method != "GET" or len(segments) != 3:
-            raise _HTTPError(404, f"no route for {'/'.join(segments)}")
-        relation = segments[2]
-        if relation == "containers":
-            return "containers", 200, {"uri": uri, "containers": list(engine.containers(uri))}, "application/json"
-        if relation == "contained":
-            return "contained", 200, {"uri": uri, "contained": list(engine.contained(uri))}, "application/json"
-        if relation == "complements":
-            return "complements", 200, {"uri": uri, "complements": list(engine.complements(uri))}, "application/json"
-        if relation == "related":
-            k = self._int_param(query, "k", 10)
-            return (
-                "related",
-                200,
-                {"uri": uri, "related": list(engine.related(uri, k))},
-                "application/json",
-            )
-        if relation == "partial":
-            k = self._int_param(query, "k", 10)
-            direction = query.get("direction", "both")
-            try:
-                entries = engine.top_partial(uri, k, direction)
-            except ValueError as exc:
-                raise _HTTPError(400, str(exc)) from None
-            return (
-                "partial",
-                200,
-                {
-                    "uri": uri,
-                    "partial": [
-                        {"uri": other, "degree": degree, "direction": way}
-                        for other, degree, way in entries
-                    ],
-                },
-                "application/json",
-            )
-        if relation == "transitive":
-            direction = query.get("direction", "up")
-            if direction not in ("up", "down"):
-                raise _HTTPError(400, f"direction must be 'up' or 'down', got {direction!r}")
-            max_depth = self._int_param(query, "max_depth", None)
-            walk = (
-                engine.transitive_containers(uri, max_depth)
-                if direction == "up"
-                else engine.transitive_contained(uri, max_depth)
-            )
-            return (
-                "transitive",
-                200,
-                {
-                    "uri": uri,
-                    "direction": direction,
-                    "reachable": [{"uri": other, "depth": depth} for other, depth in walk],
-                },
-                "application/json",
-            )
-        raise _HTTPError(404, f"unknown relation {relation!r}")
-
-    # ------------------------------------------------------------------
-    # Changefeed
-    # ------------------------------------------------------------------
-    def _feed(self):
-        feed = getattr(self.server.engine, "changefeed", None)
-        if feed is None:
-            raise _HTTPError(
-                404,
-                "no changefeed attached — serve a segment store (or pass "
-                "--changefeed) to publish applied deltas",
-            )
-        return feed
-
-    def _changes_cursor(self, query: dict, feed, consumer: str | None) -> int:
-        """Resolve the replay cursor: explicit ``since`` wins, then the
-        consumer's durable committed offset, then 0 (full replay)."""
-        since = self._int_param(query, "since", None)
-        if since is None:
-            since = feed.committed(consumer) if consumer else 0
-        if since < 0:
-            raise _HTTPError(400, f"since must be >= 0, got {since}")
-        return since
-
-    def _longpoll_budget(self, query: dict, default: float = 0.0) -> float:
-        """The long-poll wait, capped by policy and the request deadline."""
-        timeout = min(self._float_param(query, "timeout", default), MAX_LONGPOLL_SECONDS)
-        deadline = current_deadline()
-        if deadline is not None:
-            # Leave a slice of the budget to serialise the response.
-            timeout = max(0.0, min(timeout, deadline.remaining() - 0.05))
-        return timeout
-
-    def _read_changes(self, query: dict):
-        feed = self._feed()
-        consumer = query.get("consumer") or None
-        commit = self._int_param(query, "commit", None)
-        committed = None
-        if commit is not None:
-            if consumer is None:
-                raise _HTTPError(400, "commit= requires consumer=<name>")
-            if self.server.read_only:
-                raise _HTTPError(
-                    405,
-                    "consumer commits are read-only here; commit against "
-                    "the store's single writer",
-                )
-            try:
-                committed = feed.commit(consumer, commit)
-            except ValueError as exc:
-                raise _HTTPError(400, str(exc)) from None
-        since = self._changes_cursor(query, feed, consumer)
-        limit = min(self._int_param(query, "limit", 500), MAX_CHANGE_BATCH)
-        if limit < 1:
-            raise _HTTPError(400, f"limit must be >= 1, got {limit}")
-        timeout = self._longpoll_budget(query)
-        waited = time.perf_counter()
-        records = feed.wait_for(since, timeout=timeout, limit=limit)
-        _sse_metrics()["longpoll_wait"].observe(time.perf_counter() - waited)
-        payload = {
-            "since": since,
-            "head": feed.head_offset,
-            "count": len(records),
-            "next": records[-1]["offset"] if records else since,
-            "changes": records,
+        return {
+            "status": "ok",
+            "role": server.role,
+            "port": port,
+            "generation": stats["generation"],
+            "observations": stats["observations"],
+            **(server.extra_health() if server.extra_health else {}),
+            # Segment-store deployments journal every write; the probe
+            # surfaces it so operators can alert on a serve process
+            # that silently lost its WAL.
+            "persistence": stats["persistence"],
+            # Storage-layer facts (segment count, WAL tail, last
+            # repair) when the engine fronts a segment store.
+            **({"storage": stats["storage"]} if "storage" in stats else {}),
         }
-        if consumer:
-            payload["consumer"] = consumer
-            payload["committed"] = (
-                committed if committed is not None else feed.committed(consumer)
-            )
-        return "changes", 200, payload, "application/json"
 
-    def _stream_changes(self, query: dict):
-        """Server-Sent Events: live ordered change stream with resume.
+    def _metrics(self, query: dict):
+        stats, _ = self._engine_stats()  # registry-only scrape on outage
+        return Reply(200, self.server.metrics.render(stats), PROMETHEUS)
 
-        Each change goes out as ``id: <offset>`` + ``data: <record>``;
-        a reconnecting client resumes where it stopped by sending the
-        standard ``Last-Event-ID`` header (or ``since=``).  Idle
-        periods carry ``: heartbeat`` comments so proxies and clients
-        can tell a quiet feed from a dead one.  The stream pins one
-        pool worker and one shedder slot for its lifetime — size
-        ``--threads`` / ``--max-inflight`` for the subscriber count.
-        """
-        feed = self._feed()
-        consumer = query.get("consumer") or None
-        last_event = self.headers.get("Last-Event-ID")
-        if last_event is not None:
-            try:
-                cursor = int(last_event)
-            except ValueError:
-                raise _HTTPError(
-                    400, f"Last-Event-ID must be an offset, got {last_event!r}"
-                ) from None
-            if cursor < 0:
-                raise _HTTPError(400, f"Last-Event-ID must be >= 0, got {cursor}")
-        else:
-            cursor = self._changes_cursor(query, feed, consumer)
-        heartbeat = min(max(self._float_param(query, "heartbeat", 15.0), 0.5), 60.0)
-        # 0 = stream until the client disconnects or the server drains.
-        max_seconds = self._float_param(query, "max_seconds", 0.0)
+    def _stats(self, query: dict):
+        return self.server.engine.stats()
 
-        self.close_connection = True
-        self.send_response(200)
-        self.send_header("Content-Type", "text/event-stream; charset=utf-8")
-        self.send_header("Cache-Control", "no-cache")
-        trace_id = getattr(self, "_trace_id", None)
-        if trace_id:
-            self.send_header("X-Trace-Id", trace_id)
-        self.end_headers()
-        metrics = _sse_metrics()
-        metrics["streams"].inc()
-        started = time.monotonic()
-        try:
-            while True:
-                if self.server.shedder.closed:
-                    break  # draining: let the client reconnect elsewhere
-                budget = heartbeat
-                if max_seconds > 0:
-                    budget = min(budget, max_seconds - (time.monotonic() - started))
-                    if budget <= 0:
-                        break
-                records = feed.wait_for(cursor, timeout=budget, limit=MAX_CHANGE_BATCH)
-                if records:
-                    write_started = time.perf_counter()
-                    for record in records:
-                        body = json.dumps(record, default=str)
-                        self.wfile.write(
-                            f"id: {record['offset']}\ndata: {body}\n\n".encode("utf-8")
-                        )
-                    cursor = records[-1]["offset"]
-                    self.wfile.flush()
-                    metrics["sse_write"].observe(time.perf_counter() - write_started)
-                    metrics["events"].inc(len(records))
-                else:
-                    self.wfile.write(b": heartbeat\n\n")
-                    self.wfile.flush()
-        except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError, OSError):
-            pass  # subscriber went away; the stream just ends
-        finally:
-            metrics["streams"].inc(-1.0)
-        return "changes-stream", 200, _STREAMED, None
-
-    @staticmethod
-    def _float_param(query: dict, name: str, default: float) -> float:
-        raw = query.get(name)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise _HTTPError(
-                400, f"query parameter {name!r} must be a number, got {raw!r}"
-            ) from None
-
+    # ------------------------------------------------------------------
+    # Observations
     # ------------------------------------------------------------------
     def _list_observations(self, query: dict):
-        engine = self.server.engine
         dataset = URIRef(query["dataset"]) if "dataset" in query else None
         dimension = URIRef(query["dimension"]) if "dimension" in query else None
-        limit = self._int_param(query, "limit", None)
-        uris = engine.find(dataset=dataset, dimension=dimension, limit=limit)
-        return "list", 200, {"observations": list(uris), "count": len(uris)}, "application/json"
+        limit = query_param(query, "limit", None)
+        uris = self.server.engine.find(dataset=dataset, dimension=dimension, limit=limit)
+        return {"observations": list(uris), "count": len(uris)}
 
-    def _insert_observations(self):
+    def _insert_observations(self, query: dict):
         engine = self.server.engine
         try:
             length = int(self.headers.get("Content-Length", 0))
@@ -824,34 +186,166 @@ class RelationshipHandler(BaseHTTPRequestHandler):
                 )
             )
         delta = engine.insert(observations)
-        return (
-            "insert",
-            200,
-            {
-                "inserted": len(observations),
-                "generation": engine.generation,
-                "pairs_added": delta.total_added(),
-                "feed_offset": engine.feed_offset,
-            },
-            "application/json",
+        return {
+            "inserted": len(observations),
+            "generation": engine.generation,
+            "pairs_added": delta.total_added(),
+            "feed_offset": engine.feed_offset,
+        }
+
+    def _summary(self, query: dict, uri: str):
+        return self.server.engine.summary(URIRef(uri))
+
+    def _delete(self, query: dict, uri: str):
+        engine = self.server.engine
+        delta = engine.remove([URIRef(uri)])
+        return {
+            "removed": 1,
+            "generation": engine.generation,
+            "pairs_removed": delta.total_removed(),
+        }
+
+    def _related(self, query: dict, uri: str):
+        k = query_param(query, "k", 10)
+        uri = URIRef(uri)
+        return {"uri": uri, "related": list(self.server.engine.related(uri, k))}
+
+    def _partial(self, query: dict, uri: str):
+        k = query_param(query, "k", 10)
+        direction = query.get("direction", "both")
+        uri = URIRef(uri)
+        try:
+            entries = self.server.engine.top_partial(uri, k, direction)
+        except ValueError as exc:
+            raise _HTTPError(400, str(exc)) from None
+        return {
+            "uri": uri,
+            "partial": [
+                {"uri": other, "degree": degree, "direction": way}
+                for other, degree, way in entries
+            ],
+        }
+
+    def _transitive(self, query: dict, uri: str):
+        direction = query.get("direction", "up")
+        if direction not in ("up", "down"):
+            raise _HTTPError(400, f"direction must be 'up' or 'down', got {direction!r}")
+        max_depth = query_param(query, "max_depth", None)
+        engine = self.server.engine
+        uri = URIRef(uri)
+        walk = (
+            engine.transitive_containers(uri, max_depth)
+            if direction == "up"
+            else engine.transitive_contained(uri, max_depth)
+        )
+        return {
+            "uri": uri,
+            "direction": direction,
+            "reachable": [{"uri": other, "depth": depth} for other, depth in walk],
+        }
+
+    # ------------------------------------------------------------------
+    # Changefeed
+    # ------------------------------------------------------------------
+    def _feed(self):
+        feed = getattr(self.server.engine, "changefeed", None)
+        if feed is None:
+            raise _HTTPError(
+                404,
+                "no changefeed attached — serve a segment store (or pass "
+                "--changefeed) to publish applied deltas",
+            )
+        return feed
+
+    def _changes_cursor(self, query: dict, feed, consumer: str | None) -> int:
+        """Resolve the replay cursor: explicit ``since`` wins, then the
+        consumer's durable committed offset, then 0 (full replay)."""
+        since = query_param(query, "since", None)
+        if since is None:
+            since = feed.committed(consumer) if consumer else 0
+        return since
+
+    def _longpoll_budget(self, query: dict) -> float:
+        """The long-poll wait, capped by policy and the request deadline."""
+        timeout = min(query_param(query, "timeout", 0.0, float), MAX_LONGPOLL_SECONDS)
+        deadline = current_deadline()
+        if deadline is not None:
+            # Leave a slice of the budget to serialise the response.
+            timeout = max(0.0, min(timeout, deadline.remaining() - 0.05))
+        return timeout
+
+    def _read_changes(self, query: dict):
+        feed = self._feed()
+        consumer = query.get("consumer") or None
+        commit = query_param(query, "commit", None)
+        committed = None
+        if commit is not None:
+            if consumer is None:
+                raise _HTTPError(400, "commit= requires consumer=<name>")
+            if self.server.read_only:
+                raise _HTTPError(
+                    405,
+                    "consumer commits are read-only here; commit against "
+                    "the store's single writer",
+                )
+            try:
+                committed = feed.commit(consumer, commit)
+            except ValueError as exc:
+                raise _HTTPError(400, str(exc)) from None
+        since = self._changes_cursor(query, feed, consumer)
+        limit = min(query_param(query, "limit", 500), MAX_CHANGE_BATCH)
+        if limit < 1:
+            raise _HTTPError(400, f"limit must be >= 1, got {limit}")
+        timeout = self._longpoll_budget(query)
+        waited = time.perf_counter()
+        records = feed.wait_for(since, timeout=timeout, limit=limit)
+        _sse_metrics()["longpoll_wait"].observe(time.perf_counter() - waited)
+        payload = {
+            "since": since,
+            "head": feed.head_offset,
+            "count": len(records),
+            "next": records[-1]["offset"] if records else since,
+            "changes": records,
+        }
+        if consumer:
+            payload["consumer"] = consumer
+            payload["committed"] = (
+                committed if committed is not None else feed.committed(consumer)
+            )
+        return payload
+
+    def _stream_changes(self, query: dict):
+        """The live ordered change stream (SSE) with resume."""
+        feed = self._feed()
+        return self.stream_events(
+            query,
+            lambda cursor, budget: feed.wait_for(cursor, timeout=budget, limit=MAX_CHANGE_BATCH),
+            lambda: self._changes_cursor(query, feed, query.get("consumer") or None),
         )
 
-    @staticmethod
-    def _int_param(query: dict, name: str, default):
-        raw = query.get(name)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise _HTTPError(400, f"query parameter {name!r} must be an integer, got {raw!r}") from None
+    routes = (
+        Route("GET", "/healthz", "healthz", _healthz),
+        Route("GET", "/metrics", "metrics", _metrics),
+        Route("GET", "/stats", "stats", _stats),
+        *RequestHandler.debug_routes,
+        Route("GET", "/changes", "changes", _read_changes),
+        Route("GET", "/changes/stream", "changes-stream", _stream_changes),
+        Route("GET", "/observations", "list", _list_observations),
+        Route("POST", "/observations", "insert", _insert_observations),
+        Route("GET", "/observations/<id>", "observation", _summary),
+        Route("DELETE", "/observations/<id>", "delete", _delete),
+        *(
+            Route("GET", f"/observations/<id>/{relation}", relation, _neighbour_list(relation))
+            for relation in ("containers", "contained", "complements")
+        ),
+        Route("GET", "/observations/<id>/related", "related", _related),
+        Route("GET", "/observations/<id>/partial", "partial", _partial),
+        Route("GET", "/observations/<id>/transitive", "transitive", _transitive),
+    )
 
 
-class RelationshipServer(ThreadingHTTPServer):
+class RelationshipServer(HTTPServer):
     """A threading HTTP server bound to one query engine."""
-
-    daemon_threads = True
-    allow_reuse_address = True
 
     def __init__(
         self,
@@ -871,71 +365,18 @@ class RelationshipServer(ThreadingHTTPServer):
         slow_log_path: str | None = None,
         slow_query_ms: float = 100.0,
     ):
-        super().__init__(address, RelationshipHandler)
         self.engine = engine
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
-        self.verbose = verbose
-        #: Per-connection socket timeout applied in the handler's setup.
-        self.request_timeout = float(request_timeout)
-        #: Idle keep-alive budget for pool-served connections (see
-        #: :func:`pooled_keepalive`).
-        self.keepalive_idle = float(keepalive_idle)
-        self.shedder = shedder if shedder is not None else LoadShedder()
         #: Writes (POST/DELETE) answer 405 — the cluster's shard
         #: workers serve read-only views of a store owned elsewhere.
         self.read_only = bool(read_only)
-        #: Reported in /healthz so probes can tell tiers apart.
         self.role = role
         #: Zero-arg callable merged into the /healthz body (e.g. a
         #: shard's partition facts).
         self.extra_health = extra_health
-        #: threads > 0: fixed handler pool; 0: thread per connection.
-        self._pool = _HandlerPool(self, threads) if threads and threads > 0 else None
-        self.pool_threads = threads if self._pool is not None else 0
-        # Every instrumented layer's series shows up (zero-valued) on
-        # the very first /metrics scrape instead of trickling in as
-        # compute and storage paths first run.
-        from repro.obs import preregister
-        from repro.obs.spanstore import install_span_store
-
-        preregister()
-        # The span store backs /debug/trace/<id>; ``span_dir`` (or
-        # $REPRO_SPAN_DIR) adds the JSONL ring on disk.
-        install_span_store(span_dir)
-        if profiler:
-            from repro.obs.profile import start_continuous_profiler
-
-            start_continuous_profiler()
-        if slow_log_path:
-            from repro.obs.slowlog import install_slow_log
-
-            install_slow_log(slow_log_path, threshold_ms=slow_query_ms)
-
-    def process_request(self, request, client_address):
-        if self._pool is not None:
-            self._pool.submit(request, client_address)
-        else:
-            super().process_request(request, client_address)
-
-    def server_close(self):
-        super().server_close()
-        if self._pool is not None:
-            self._pool.stop()
-
-    def graceful_shutdown(self, drain_timeout: float = 10.0) -> bool:
-        """Drain and stop: finish what was admitted, refuse the rest.
-
-        Closes the shedder (new requests get 503), waits up to
-        ``drain_timeout`` seconds for in-flight requests to finish,
-        then stops the accept loop and closes the socket.  Returns
-        whether the drain completed (False = timed out with requests
-        still running; their daemon threads die with the process).
-        """
-        self.shedder.close()
-        drained = self.shedder.drain(timeout=drain_timeout)
-        self.shutdown()
-        self.server_close()
-        return drained
+        super().__init__(
+            address, RelationshipHandler, metrics, verbose, request_timeout, shedder,
+            threads, keepalive_idle, span_dir, profiler, slow_log_path, slow_query_ms,
+        )
 
 
 def start_server(
@@ -967,29 +408,8 @@ def start_server(
     CLI path).
     """
     server = RelationshipServer(
-        (host, port),
-        engine,
-        metrics,
-        verbose,
-        request_timeout=request_timeout,
-        shedder=shedder,
-        threads=threads,
-        read_only=read_only,
-        role=role,
-        extra_health=extra_health,
-        span_dir=span_dir,
-        profiler=profiler,
-        slow_log_path=slow_log_path,
-        slow_query_ms=slow_query_ms,
+        (host, port), engine, metrics, verbose, request_timeout, shedder, threads,
+        read_only, role, extra_health, span_dir=span_dir, profiler=profiler,
+        slow_log_path=slow_log_path, slow_query_ms=slow_query_ms,
     )
-    if background:
-        thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve", daemon=True
-        )
-        thread.start()
-    else:
-        try:
-            server.serve_forever()
-        finally:
-            server.server_close()
-    return server
+    return server.start(background)

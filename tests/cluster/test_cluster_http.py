@@ -188,6 +188,36 @@ class TestRoutedReads:
             assert family in text
 
 
+class TestCountParameters:
+    def test_negative_counts_are_400_on_serve_and_router(self, cluster):
+        """Counts are non-negative: a negative ``limit`` would slice
+        from the end of the listing (``limit=-1`` answering all but one)."""
+        base, reference, space, _ = cluster
+        serve = start_server(reference)
+        host, port = serve.server_address
+        uri = encode(space.observations[0].uri)
+        try:
+            for target in (f"http://{host}:{port}", base):
+                _, _, body = get_json(target, "/observations?limit=3")
+                assert body["count"] == 3
+                _, _, body = get_json(target, "/observations?limit=0")
+                assert body["count"] == 0
+                for path in (
+                    "/observations?limit=-1",
+                    f"/observations?limit=-{len(space) - 1}",
+                    f"/observations/{uri}/related?k=-1",
+                    f"/observations/{uri}/partial?k=-2",
+                    f"/observations/{uri}/transitive?max_depth=-1",
+                ):
+                    with pytest.raises(urllib.error.HTTPError) as excinfo:
+                        get_json(target, path)
+                    assert excinfo.value.code == 400, (target, path)
+                    assert ">= 0" in json.load(excinfo.value)["error"]
+        finally:
+            serve.shutdown()
+            serve.server_close()
+
+
 class TestFailover:
     """Runs last in the file: it permanently stops one replica per shard."""
 

@@ -121,3 +121,35 @@ class TestHTTP504:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+    def test_nan_deadline_header_is_400_on_serve_and_router(self, served_store, tmp_path):
+        """``nan > 0`` and ``nan <= 0`` are both false: a NaN budget
+        must be refused, not treated as a deadline that never expires
+        (serve) or clamped to a 1 ms budget forwarded to every shard
+        (router)."""
+        from urllib.parse import urlsplit
+
+        from repro.cluster import ClusterManifest, Router, start_router
+
+        with pytest.raises(ValueError):
+            Deadline(float("nan"))
+        shard = urlsplit(served_store)
+        manifest = ClusterManifest(store=str(tmp_path / "links.rseg"), shards=1)
+        manifest.upsert_worker(
+            {"shard": 0, "replica": 0, "host": shard.hostname, "port": shard.port, "pid": 0}
+        )
+        router = start_router(Router(manifest))
+        host, port = router.server_address
+        try:
+            for base in (served_store, f"http://{host}:{port}"):
+                uri = quote("urn:chaos:seed:0:a", safe="")
+                request = urllib.request.Request(
+                    f"{base}/observations/{uri}/containers", headers={"X-Deadline-Ms": "nan"}
+                )
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    urllib.request.urlopen(request)
+                assert excinfo.value.code == 400, base
+                assert "X-Deadline-Ms" in json.load(excinfo.value)["error"]
+        finally:
+            router.shutdown()
+            router.server_close()
