@@ -175,9 +175,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         graph = cubespace_to_graph(cube)
     else:
         space = build_synthetic_space(args.n, dimension_count=args.dimensions, seed=args.seed)
-        from repro.core.export import space_to_graph
-
-        graph = space_to_graph(space)
+        graph = cubespace_to_graph(space.to_cubespace())
     print(f"# generated {len(graph)} triples", file=sys.stderr)
     _write_graph(graph, args.output)
     return 0

@@ -44,6 +44,7 @@ from pathlib import Path
 from urllib.parse import quote
 
 from repro.errors import ReproError, ShardUnavailableError
+from repro.obs import catalogue
 from repro.obs import slowlog as _slowlog
 from repro.obs.tracing import current_span_id
 from repro.resilience.breaker import CircuitBreaker, OPEN
@@ -65,62 +66,6 @@ from repro.service.http import (
 from repro.service.metrics import ServiceMetrics
 
 __all__ = ["Router", "RouterServer", "ShardUnavailableError", "start_router"]
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "shards": registry.gauge(
-                "repro_cluster_shards",
-                "Shards in the routed cluster topology.",
-            ),
-            "generation": registry.gauge(
-                "repro_cluster_manifest_generation",
-                "Cluster-manifest generation the router last applied.",
-            ),
-            "replicas_up": registry.gauge(
-                "repro_cluster_replicas_up",
-                "Replicas per shard whose circuit breaker is not open.",
-                labelnames=("shard",),
-            ),
-            "fanout": registry.counter(
-                "repro_cluster_fanout_requests_total",
-                "Sub-requests the router sent, by shard.",
-                labelnames=("shard",),
-            ),
-            "failovers": registry.counter(
-                "repro_cluster_failovers_total",
-                "Sub-requests retried on another replica, by shard.",
-                labelnames=("shard",),
-            ),
-            "errors": registry.counter(
-                "repro_cluster_shard_errors_total",
-                "Failed sub-requests, by shard and failure kind.",
-                labelnames=("shard", "kind"),
-            ),
-            "scatter": registry.histogram(
-                "repro_cluster_scatter_width",
-                "Shards consulted per routed query.",
-                buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0),
-            ),
-            "federated": registry.counter(
-                "repro_cluster_federated_scrapes_total",
-                "Federated /metrics scrapes the router assembled.",
-            ),
-            "federation_errors": registry.counter(
-                "repro_cluster_federation_errors_total",
-                "Replica scrapes that failed or were unparseable during federation.",
-            ),
-        }
-    return _METRICS
-
 
 class Replica:
     """One shard worker endpoint plus its health state."""
@@ -240,17 +185,15 @@ class Router:
             self._ring = ring
             self._partitions = partitions
             self._replicas = table
-        metrics = _metrics()
-        metrics["shards"].set(manifest.shards)
-        metrics["generation"].set(manifest.generation)
+        catalogue.CLUSTER_SHARDS.set(manifest.shards)
+        catalogue.CLUSTER_MANIFEST_GENERATION.set(manifest.generation)
         self._update_replica_gauges()
 
     def _update_replica_gauges(self) -> None:
         with self._lock:
             table = {shard: list(replicas) for shard, replicas in self._replicas.items()}
-        gauge = _metrics()["replicas_up"]
         for shard, replicas in table.items():
-            gauge.set(
+            catalogue.CLUSTER_REPLICAS_UP.set(
                 sum(1 for replica in replicas if replica.breaker.state != OPEN),
                 shard=shard,
             )
@@ -411,7 +354,6 @@ class Router:
         open on purpose does not look like a dead replica and trip its
         breaker.
         """
-        metrics = _metrics()
         order = self._pick_order(shard)
         if not order:
             raise ShardUnavailableError(shard, "no registered replicas")
@@ -425,18 +367,18 @@ class Router:
                 detail = f"breaker {replica.breaker.state}"
                 continue
             if attempt:
-                metrics["failovers"].inc(shard=shard)
+                catalogue.CLUSTER_FAILOVERS.inc(shard=shard)
             with self._lock:
                 replica.inflight += 1
             started = time.monotonic()
             try:
-                metrics["fanout"].inc(shard=shard)
+                catalogue.CLUSTER_FANOUT_REQUESTS.inc(shard=shard)
                 status, response_headers, body = self._request_once(
                     replica, path, headers, timeout
                 )
             except (OSError, http.client.HTTPException) as exc:
                 replica.breaker.record_failure(time.monotonic() - started)
-                metrics["errors"].inc(shard=shard, kind=type(exc).__name__)
+                catalogue.CLUSTER_SHARD_ERRORS.inc(shard=shard, kind=type(exc).__name__)
                 detail = f"{type(exc).__name__}: {exc}"
                 continue
             finally:
@@ -447,7 +389,7 @@ class Router:
                 # shed, deadline, crash handler): count it against this
                 # replica and let another one try.
                 replica.breaker.record_failure(time.monotonic() - started)
-                metrics["errors"].inc(shard=shard, kind=f"http_{status}")
+                catalogue.CLUSTER_SHARD_ERRORS.inc(shard=shard, kind=f"http_{status}")
                 detail = f"HTTP {status}"
                 continue
             replica.breaker.record_success(time.monotonic() - started)
@@ -459,7 +401,7 @@ class Router:
         self, shards: list[int], path: str, headers: dict, timeout: float | None = None
     ) -> list[tuple[int, int, dict, bytes]]:
         """Concurrent :meth:`call_shard` over ``shards`` (order kept)."""
-        _metrics()["scatter"].observe(len(shards))
+        catalogue.CLUSTER_SCATTER_WIDTH.observe(len(shards))
         if len(shards) == 1:
             status, response_headers, body = self.call_shard(
                 shards[0], path, headers, timeout
@@ -754,7 +696,7 @@ class RouterHandler(RequestHandler):
             "manifest_generation": router.manifest.generation,
         }
 
-    def _metrics(self, query: dict):
+    def _scrape(self, query: dict):
         local = self.server.metrics.render(None)
         if query.get("local"):
             return Reply(200, local, PROMETHEUS)
@@ -765,7 +707,6 @@ class RouterHandler(RequestHandler):
         # — blinding the operator mid-incident is the worst case.
         from repro.obs.exposition import federate
 
-        metrics = _metrics()
         results = self.server.router.broadcast("/metrics", self._subrequest_headers())
         scrapes = []
         for shard, replica, status, body in results:
@@ -777,11 +718,11 @@ class RouterHandler(RequestHandler):
                     )
                 )
             else:
-                metrics["federation_errors"].inc()
+                catalogue.CLUSTER_FEDERATION_ERRORS.inc()
         body, problems = federate(scrapes, base=local)
-        metrics["federated"].inc()
+        catalogue.CLUSTER_FEDERATED_SCRAPES.inc()
         if problems:
-            metrics["federation_errors"].inc(len(problems))
+            catalogue.CLUSTER_FEDERATION_ERRORS.inc(len(problems))
         return Reply(200, body, PROMETHEUS)
 
     def _stats(self, query: dict):
@@ -935,7 +876,7 @@ class RouterHandler(RequestHandler):
 
     routes = (
         Route("GET", "/healthz", "healthz", _healthz),
-        Route("GET", "/metrics", "metrics", _metrics),
+        Route("GET", "/metrics", "metrics", _scrape),
         Route("GET", "/stats", "stats", _stats),
         Route("GET", "/cluster", "cluster", _cluster),
         *RequestHandler.debug_routes,

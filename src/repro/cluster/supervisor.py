@@ -34,32 +34,10 @@ import time
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.obs import catalogue
 from repro.cluster.manifest import CLUSTER_MANIFEST_NAME, ClusterManifest
 
 __all__ = ["ClusterSupervisor"]
-
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "workers": registry.gauge(
-                "repro_cluster_workers",
-                "Live shard worker processes under supervision.",
-            ),
-            "respawns": registry.counter(
-                "repro_cluster_respawns_total",
-                "Shard worker processes respawned after dying.",
-                labelnames=("shard",),
-            ),
-        }
-    return _METRICS
-
 
 class _Worker:
     """One supervised shard process."""
@@ -270,7 +248,7 @@ class ClusterSupervisor:
         for worker in self._workers:
             self._register(worker, self._await_endpoint(worker, deadline))
         self.manifest.write(self.manifest_path)
-        _metrics()["workers"].set(sum(1 for w in self._workers if w.process))
+        catalogue.CLUSTER_WORKERS.set(sum(1 for w in self._workers if w.process))
 
     # ------------------------------------------------------------------
     # Router
@@ -350,7 +328,7 @@ class ClusterSupervisor:
             if not respawning:
                 worker.process = None
                 continue
-            _metrics()["respawns"].inc(shard=worker.shard)
+            catalogue.CLUSTER_RESPAWNS.inc(shard=worker.shard)
             self._spawn(worker)
             try:
                 payload = self._await_endpoint(
@@ -362,7 +340,7 @@ class ClusterSupervisor:
             self._register(worker, payload)
             # Commit the replacement endpoint; routers re-read on mtime.
             self.manifest.write(self.manifest_path)
-        _metrics()["workers"].set(
+        catalogue.CLUSTER_WORKERS.set(
             sum(
                 1
                 for w in self._workers
@@ -409,7 +387,7 @@ class ClusterSupervisor:
             if worker.process is not None and worker.process.poll() is None:
                 worker.process.kill()
                 worker.process.wait()
-        _metrics()["workers"].set(0)
+        catalogue.CLUSTER_WORKERS.set(0)
 
     def endpoints(self) -> list[dict]:
         """Every live worker's ``{shard, replica, host, port, pid}``."""

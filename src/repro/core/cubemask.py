@@ -46,6 +46,7 @@ from repro.core.lattice import CubeLattice
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
 from repro.errors import AlgorithmError
+from repro.obs import catalogue
 
 __all__ = [
     "compute_cubemask",
@@ -74,58 +75,17 @@ STAT_KEYS = (
     "kernel_ns",
 )
 
-# Registry metrics are resolved once and cached; kernel_pairs/kernel_ns
-# are intentionally absent — repro.core.kernels owns those series.
-_REGISTRY_METRICS = None
-
-
-def _registry_metrics():
-    global _REGISTRY_METRICS
-    if _REGISTRY_METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _REGISTRY_METRICS = {
-            "runs": registry.counter(
-                "repro_cubemask_runs_total",
-                "Completed cubeMasking materialisations.",
-            ),
-            "cube_pairs": registry.counter(
-                "repro_cubemask_cube_pairs_total",
-                "Cube pairs surviving signature dominance pruning.",
-            ),
-            "instance_comparisons": registry.counter(
-                "repro_cubemask_instance_comparisons_total",
-                "Observation pairs evaluated at the instance level.",
-            ),
-            "pruned_comparisons": registry.counter(
-                "repro_cubemask_pruned_comparisons_total",
-                "Observation pairs skipped without instance-level work.",
-            ),
-            "pruned_cube_pairs": registry.counter(
-                "repro_cubemask_pruned_cube_pairs_total",
-                "Cube pairs dropped by the measure-overlap prefilter.",
-            ),
-            "last_cubes": registry.gauge(
-                "repro_cubemask_last_cubes",
-                "Lattice cubes in the most recent cubeMasking run.",
-            ),
-        }
-    return _REGISTRY_METRICS
-
-
 def _flush_counts(counts: dict) -> None:
-    metrics = _registry_metrics()
-    metrics["runs"].inc()
-    for key in (
-        "cube_pairs",
-        "instance_comparisons",
-        "pruned_comparisons",
-        "pruned_cube_pairs",
+    catalogue.CUBEMASK_RUNS.inc()
+    for counter, key in (
+        (catalogue.CUBEMASK_CUBE_PAIRS, "cube_pairs"),
+        (catalogue.CUBEMASK_INSTANCE_COMPARISONS, "instance_comparisons"),
+        (catalogue.CUBEMASK_PRUNED_COMPARISONS, "pruned_comparisons"),
+        (catalogue.CUBEMASK_PRUNED_CUBE_PAIRS, "pruned_cube_pairs"),
     ):
         if counts[key]:
-            metrics[key].inc(counts[key])
-    metrics["last_cubes"].set(counts["cubes"])
+            counter.inc(counts[key])
+    catalogue.CUBEMASK_LAST_CUBES.set(counts["cubes"])
     # Kernel counters batch their registry pushes; drain the tail so a
     # scrape right after a compute sees the complete numbers.
     _kernels.flush_registry_counters()

@@ -44,6 +44,7 @@ import numpy as np
 
 from repro.errors import AlgorithmError
 from repro.core.space import ObservationSpace
+from repro.obs import catalogue
 from repro.rdf.terms import URIRef
 
 __all__ = [
@@ -140,32 +141,6 @@ def _mask_dtype(dimension_count: int):
 _COUNTER_LOCK = threading.Lock()
 _COUNTERS = {"kernel_calls": 0, "kernel_pairs": 0, "kernel_ns": 0}
 
-
-_REGISTRY_COUNTERS = None
-
-
-def _registry_counters():
-    global _REGISTRY_COUNTERS
-    if _REGISTRY_COUNTERS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _REGISTRY_COUNTERS = (
-            registry.counter(
-                "repro_kernel_calls_total", "Vectorised cube-pair kernel invocations."
-            ),
-            registry.counter(
-                "repro_kernel_pairs_total",
-                "Observation pairs scored by the vectorised kernel.",
-            ),
-            registry.counter(
-                "repro_kernel_ns_total",
-                "Nanoseconds spent inside the vectorised kernel.",
-            ),
-        )
-    return _REGISTRY_COUNTERS
-
-
 #: Registry values already pushed; the delta to _COUNTERS is what a
 #: flush publishes.  Batching keeps the per-block hot path down to the
 #: single _COUNTER_LOCK acquisition it always had.
@@ -190,11 +165,14 @@ def flush_registry_counters() -> None:
     each cubeMasking compute, so a mid-compute scrape lags by at most
     one batch.
     """
-    counters = _registry_counters()
     with _COUNTER_LOCK:
         deltas = {key: _COUNTERS[key] - _PUSHED[key] for key in _COUNTERS}
         _PUSHED.update(_COUNTERS)
-    for counter, key in zip(counters, ("kernel_calls", "kernel_pairs", "kernel_ns")):
+    for counter, key in (
+        (catalogue.KERNEL_CALLS, "kernel_calls"),
+        (catalogue.KERNEL_PAIRS, "kernel_pairs"),
+        (catalogue.KERNEL_NS, "kernel_ns"),
+    ):
         if deltas[key]:
             counter.inc(deltas[key])
 
@@ -745,17 +723,8 @@ def publish_arrays(arrays: dict[str, np.ndarray]) -> tuple[shared_memory.SharedM
         destination = np.ndarray(array.shape, dtype=array.dtype, buffer=segment.buf, offset=start)
         destination[...] = array
         del destination  # release the buffer export so close() can succeed
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    registry.counter(
-        "repro_parallel_shm_publishes_total",
-        "Shared-memory kernel-plan segments published for worker fan-out.",
-    ).inc()
-    registry.counter(
-        "repro_parallel_shm_bytes_total",
-        "Bytes published into shared-memory fan-out segments.",
-    ).inc(segment.size)
+    catalogue.PARALLEL_SHM_PUBLISHES.inc()
+    catalogue.PARALLEL_SHM_BYTES.inc(segment.size)
     return segment, layout
 
 

@@ -72,6 +72,7 @@ from repro.core.cubemask import (
 )
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
+from repro.obs import catalogue
 from repro.obs.logging import get_logger
 from repro.obs.spanstore import SPAN_DIR_ENV
 from repro.obs.tracing import (
@@ -89,41 +90,6 @@ __all__ = [
 ]
 
 logger = get_logger("repro.parallel")
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "respawns": registry.counter(
-                "repro_parallel_pool_respawns_total",
-                "Process pools respawned after a worker failure.",
-            ),
-            "failures": registry.counter(
-                "repro_parallel_worker_failures_total",
-                "Worker failures by kind (timeout, crash, error).",
-                labelnames=("kind",),
-            ),
-            "degraded": registry.counter(
-                "repro_parallel_degraded_ranges_total",
-                "Cube-pair ranges scored sequentially after pool degradation.",
-            ),
-            "units": registry.counter(
-                "repro_parallel_units_total",
-                "Cube-pair ranges completed by pool workers.",
-            ),
-            "kernel_pairs": registry.counter(
-                "repro_parallel_kernel_pairs_total",
-                "Member pairs scored by the vectorised kernel inside pool workers.",
-            ),
-        }
-    return _METRICS
 
 # Worker-process globals, installed by _initializer.
 _WORKER_STATE: dict = {}
@@ -312,7 +278,7 @@ def compute_cubemask_parallel(
             # delta into this process's repro_kernel_* series.
             _kernels.merge_counters(counters)
             if counters.get("kernel_pairs"):
-                _metrics()["kernel_pairs"].inc(counters["kernel_pairs"])
+                catalogue.PARALLEL_KERNEL_PAIRS.inc(counters["kernel_pairs"])
             counts["kernel_pairs"] += int(counters.get("kernel_pairs", 0))
             counts["kernel_ns"] += int(counters.get("kernel_ns", 0))
             delta = RelationshipSet()
@@ -320,7 +286,7 @@ def compute_cubemask_parallel(
             emit(unit_id, delta)
 
         def degrade(remaining) -> None:
-            _metrics()["degraded"].inc(len(remaining))
+            catalogue.PARALLEL_DEGRADED_RANGES.inc(len(remaining))
             logger.warning(
                 "degrading to sequential cubeMasking for %d remaining range(s)",
                 len(remaining),
@@ -375,7 +341,7 @@ def compute_cubemask_parallel(
                             failure = (descriptor, exc, "error")
                             break
                         finished.add(descriptor[0])
-                        _metrics()["units"].inc()
+                        catalogue.PARALLEL_UNITS.inc()
                         emit_worker_unit(*payload)
                 finally:
                     pool.shutdown(wait=failure is None, cancel_futures=True)
@@ -383,7 +349,7 @@ def compute_cubemask_parallel(
                 if failure is None:
                     break
                 descriptor, error, kind = failure
-                _metrics()["failures"].inc(kind=kind)
+                catalogue.PARALLEL_WORKER_FAILURES.inc(kind=kind)
                 pending = [d for d in pending if d[0] not in finished]
                 unit_id = descriptor[0]
                 attempts[unit_id] += 1
@@ -402,7 +368,7 @@ def compute_cubemask_parallel(
                         attempts=attempts[unit_id],
                     ) from error
                 delay = min(retry_backoff * (2 ** (attempts[unit_id] - 1)), _BACKOFF_CAP)
-                _metrics()["respawns"].inc()
+                catalogue.PARALLEL_POOL_RESPAWNS.inc()
                 logger.warning(
                     "worker failure (%s) on range %d, attempt %d/%d — respawning pool in %.2fs: %s",
                     kind,

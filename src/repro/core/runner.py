@@ -61,6 +61,7 @@ from repro.errors import (
 from repro.resilience.faults import FaultPlan, InjectedFault
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
+from repro.obs import catalogue
 from repro.obs.logging import get_logger
 from repro.obs.tracing import trace
 from repro.rdf.terms import URIRef
@@ -84,43 +85,6 @@ _BACKOFF_CAP = 30.0
 #: workers, OS-level hiccups.  Deterministic input errors
 #: (:class:`AlgorithmError`) are not retried.
 RETRYABLE = (InjectedFault, WorkerCrashError, ComputationError, OSError)
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "runs": registry.counter(
-                "repro_runner_runs_total", "Materialisation runs started."
-            ),
-            "units": registry.counter(
-                "repro_runner_units_total", "Work units computed to completion."
-            ),
-            "resumed": registry.counter(
-                "repro_runner_resumed_units_total",
-                "Units restored from a checkpoint instead of recomputed.",
-            ),
-            "retries": registry.counter(
-                "repro_runner_retries_total",
-                "Transient unit failures that were retried.",
-            ),
-            "failures": registry.counter(
-                "repro_runner_unit_failures_total",
-                "Units that exhausted their retry budget.",
-            ),
-            "repairs": registry.counter(
-                "repro_runner_checkpoint_repairs_total",
-                "Checkpoints whose torn final record was dropped on load.",
-            ),
-        }
-    return _METRICS
-
 
 # ----------------------------------------------------------------------
 # Fingerprints — detect checkpoint/input mismatch on resume.
@@ -388,7 +352,7 @@ class MaterializationRunner:
         from repro.core.api import _as_space
 
         space = _as_space(data)
-        _metrics()["runs"].inc()
+        catalogue.RUNNER_RUNS.inc()
         plan = self._plan(space)
         header = {
             "version": CHECKPOINT_VERSION,
@@ -413,7 +377,7 @@ class MaterializationRunner:
                 stored, deltas, repaired = journal.load()
                 self._validate_header(stored, header, journal.path)
                 if repaired:
-                    _metrics()["repairs"].inc()
+                    catalogue.RUNNER_CHECKPOINT_REPAIRS.inc()
                     logger.warning(
                         "checkpoint %s had a torn final record (crash mid-append); "
                         "dropped it and will recompute that unit",
@@ -429,7 +393,7 @@ class MaterializationRunner:
                     result.merge(delta)
                     done.add(unit_id)
                 if done:
-                    _metrics()["resumed"].inc(len(done))
+                    catalogue.RUNNER_RESUMED_UNITS.inc(len(done))
                 journal.open_append()
             else:
                 journal.create(header)
@@ -443,7 +407,7 @@ class MaterializationRunner:
             if journal is not None:
                 journal.append_unit(unit_id, delta)
             completed += 1
-            _metrics()["units"].inc()
+            catalogue.RUNNER_UNITS.inc()
             if self.fault_plan is not None:
                 self.fault_plan.after_unit(completed)
 
@@ -498,11 +462,11 @@ class MaterializationRunner:
             except RETRYABLE as exc:
                 attempts += 1
                 if attempts > self.max_retries:
-                    _metrics()["failures"].inc()
+                    catalogue.RUNNER_UNIT_FAILURES.inc()
                     raise WorkerCrashError(
                         f"unit failed permanently: {exc}", unit=unit_id, attempts=attempts
                     ) from exc
-                _metrics()["retries"].inc()
+                catalogue.RUNNER_RETRIES.inc()
                 delay = min(self.retry_backoff * (2 ** (attempts - 1)), _BACKOFF_CAP)
                 logger.warning(
                     "unit %r failed (attempt %d/%d), retrying in %.2fs: %s",

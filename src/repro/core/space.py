@@ -28,7 +28,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import AlgorithmError
 from repro.qb.hierarchy import Hierarchy
-from repro.qb.model import CubeSpace, Observation
+from repro.qb.model import CubeSpace, Dataset, DatasetSchema, Observation
 from repro.rdf.terms import URIRef
 
 __all__ = ["ObsRecord", "ObservationSpace"]
@@ -116,6 +116,28 @@ class ObservationSpace:
                 observation.measure_set,
             )
         return space
+
+    def to_cubespace(self) -> CubeSpace:
+        """The inverse of :meth:`from_cubespace`, one dataset per URI.
+
+        Each schema spans the whole dimension bus (root padding becomes
+        an explicit root code) and the measures its observations carry.
+        Measure values are placeholders: the algorithms only read
+        *which* measures an observation reports.
+        """
+        by_dataset: dict[URIRef, list[ObsRecord]] = {}
+        for record in self.observations:
+            by_dataset.setdefault(record.dataset, []).append(record)
+        cube = CubeSpace(self.hierarchies)
+        for uri, records in by_dataset.items():
+            measures = sorted(frozenset().union(*(r.measures for r in records)), key=str)
+            dataset = Dataset(uri, DatasetSchema(self.dimensions, tuple(measures)))
+            for record in records:
+                dimensions = dict(zip(self.dimensions, record.codes))
+                measure_values = dict.fromkeys(record.measures, 1)
+                dataset.add(Observation(record.uri, uri, dimensions, measure_values))
+            cube.add_dataset(dataset)
+        return cube
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

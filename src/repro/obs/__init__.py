@@ -3,10 +3,12 @@
 The first layer that sees the whole pipeline end to end:
 
 * :mod:`repro.obs.registry` — the process-wide
-  :class:`~repro.obs.registry.MetricsRegistry` every instrumented
-  layer (kernels, cubeMasking pruning, runner, parallel fan-out,
-  segment storage) feeds, rendered on the service's ``/metrics``
-  endpoint in Prometheus text exposition format,
+  :class:`~repro.obs.registry.MetricsRegistry`, rendered on the
+  service's ``/metrics`` endpoint in Prometheus text exposition format,
+* :mod:`repro.obs.catalogue` — every family that registry carries,
+  declared once and registered on import; the instrumented layers
+  (kernels, cubeMasking pruning, runner, parallel fan-out, storage,
+  resilience, streaming, cluster) feed its handles,
 * :mod:`repro.obs.tracing` — :func:`~repro.obs.tracing.trace` spans
   with monotonic timing, parent/child nesting and a per-request /
   per-run trace ID that rides HTTP headers, the CLI ``--trace`` flag
@@ -20,6 +22,7 @@ See ``docs/observability.md`` for the metric catalogue and the span
 naming conventions.
 """
 
+from repro.obs import catalogue
 from repro.obs.logging import (
     JsonLinesFormatter,
     configure_jsonl,
@@ -75,62 +78,6 @@ from repro.obs.tracing import (
     trace,
 )
 
-def preregister() -> None:
-    """Force-register every instrumented layer's metric families.
-
-    The instrumented modules register their series lazily on first
-    use, so a freshly-booted process would scrape an incomplete
-    catalogue until compute/storage work has run.  The server calls
-    this at startup so ``/metrics`` shows every family (zero-valued)
-    from the very first scrape.
-    """
-    from repro.cluster import router as cluster_router
-    from repro.cluster import supervisor as cluster_supervisor
-    from repro.core import cubemask, kernels, parallel, runner
-    from repro.obs import profile as obs_profile
-    from repro.obs import slowlog as obs_slowlog
-    from repro.obs import spanstore as obs_spanstore
-    from repro.resilience import breaker, deadline, faults, scrub, shed
-    from repro.service import engine as service_engine
-    from repro.storage import store, wal
-    from repro.stream import changefeed, ingest
-
-    kernels._registry_counters()
-    cubemask._registry_metrics()
-    runner._metrics()
-    parallel._metrics()
-    wal._metrics()
-    store._metrics()
-    faults._metrics()
-    deadline._metrics()
-    breaker._metrics()
-    shed._metrics()
-    scrub._metrics()
-    service_engine._metrics()
-    changefeed._metrics()
-    ingest._metrics()
-    cluster_router._metrics()
-    cluster_supervisor._metrics()
-    obs_spanstore._metrics()
-    obs_slowlog._metrics()
-    obs_profile._prof_metrics()
-    from repro.service import http as service_http
-
-    service_http._sse_metrics()
-    get_registry().counter(
-        "repro_storage_lazy_materialisations_total",
-        "Lazy segment views materialised on first access.",
-    )
-    get_registry().counter(
-        "repro_parallel_shm_publishes_total",
-        "Shared-memory kernel-plan segments published for worker fan-out.",
-    )
-    get_registry().counter(
-        "repro_parallel_shm_bytes_total",
-        "Bytes published into shared-memory fan-out segments.",
-    )
-
-
 __all__ = [
     "ContinuousProfiler",
     "Counter",
@@ -148,6 +95,7 @@ __all__ = [
     "assemble_trace",
     "bind_parent_span",
     "bind_trace",
+    "catalogue",
     "configure_jsonl",
     "current_span",
     "current_span_id",
@@ -162,7 +110,6 @@ __all__ = [
     "install_span_store",
     "log_event",
     "new_trace_id",
-    "preregister",
     "read_span_files",
     "recorder",
     "remove_handler",

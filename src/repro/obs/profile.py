@@ -37,6 +37,8 @@ import time
 from collections import deque
 from pathlib import Path
 
+from repro.obs import catalogue
+
 __all__ = [
     "ContinuousProfiler",
     "SamplingProfiler",
@@ -180,22 +182,6 @@ def _short_path(filename: str) -> str:
     return "/".join(parts[-2:])
 
 
-def _prof_metrics():
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    return (
-        registry.counter(
-            "repro_obs_profiler_samples_total",
-            "Stack samples taken by the continuous profiler.",
-        ),
-        registry.counter(
-            "repro_obs_profiler_windows_total",
-            "Profile windows rotated by the continuous profiler.",
-        ),
-    )
-
-
 class ContinuousProfiler:
     """Always-on low-Hz sampler over all threads, collapsed-stack output.
 
@@ -266,7 +252,6 @@ class ContinuousProfiler:
 
     # ------------------------------------------------------------------
     def _run(self) -> None:
-        sampled, rotated = _prof_metrics()
         own_ident = threading.get_ident()
         window_start = time.monotonic()
         while not self._stop.wait(self.interval):
@@ -293,8 +278,8 @@ class ContinuousProfiler:
                 if now - window_start >= self.window_seconds:
                     self._rotate_locked()
                     window_start = now
-                    rotated.inc()
-            sampled.inc(len(stacks))
+                    catalogue.OBS_PROFILER_WINDOWS.inc()
+            catalogue.OBS_PROFILER_SAMPLES.inc(len(stacks))
 
     def _rotate_locked(self) -> None:
         window, self._current = self._current, {}

@@ -5,6 +5,7 @@ One :class:`MetricsRegistry` instance (the module-level default,
 emits — kernel dispatch, cubeMasking pruning, runner/parallel
 resilience events, storage I/O — so a single scrape of ``/metrics``
 (or :meth:`MetricsRegistry.render` anywhere) sees the whole pipeline.
+Its families are declared once, in :mod:`repro.obs.catalogue`.
 The :class:`~repro.service.metrics.ServiceMetrics` request collector
 is built on the same primitives with a private registry.
 
@@ -27,9 +28,7 @@ the unescaped interpolation the old request collector shipped with.
 
 from __future__ import annotations
 
-import platform
 import threading
-import time
 from bisect import bisect_left
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "escape_label_value",
     "format_value",
     "get_registry",
-    "install_standard_metrics",
 ]
 
 #: Default histogram buckets (seconds) — latency-shaped.
@@ -354,31 +352,6 @@ class MetricsRegistry:
 # The process-wide default registry.
 # ----------------------------------------------------------------------
 _DEFAULT = MetricsRegistry()
-
-
-def install_standard_metrics(registry: MetricsRegistry) -> None:
-    """Register the identity/uptime gauges every scrape target needs."""
-    from repro._version import __version__
-
-    build = registry.gauge(
-        "repro_build_info",
-        "Build identity; the value is always 1, the labels carry the versions.",
-        labelnames=("version", "python"),
-    )
-    build.set(1, version=__version__, python=platform.python_version())
-    started = time.time()
-    start_gauge = registry.gauge(
-        "repro_process_start_time_seconds",
-        "Unix time this process registered its metrics.",
-    )
-    start_gauge.set(started)
-    uptime = registry.gauge(
-        "repro_process_uptime_seconds", "Seconds since process metrics registration."
-    )
-    uptime.set_function(lambda: time.time() - started)
-
-
-install_standard_metrics(_DEFAULT)
 
 
 def get_registry() -> MetricsRegistry:

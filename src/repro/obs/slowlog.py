@@ -30,6 +30,8 @@ import threading
 import time
 from pathlib import Path
 
+from repro.obs import catalogue
+
 __all__ = [
     "SlowQueryLog",
     "annotate",
@@ -80,32 +82,10 @@ def _kernel_counters() -> dict:
     background recompute is a classic cause — the snapshot lets the
     reader correlate without joining against a scrape.
     """
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    out = {}
-    for name in ("repro_kernel_calls_total", "repro_kernel_pairs_total"):
-        metric = registry.get(name)
-        if metric is not None:
-            out[name.removeprefix("repro_").removesuffix("_total")] = int(metric.total())
-    return out
-
-
-def _metrics():
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    return (
-        registry.counter(
-            "repro_obs_slow_queries_total",
-            "Requests recorded in the slow-query log.",
-            labelnames=("endpoint",),
-        ),
-        registry.counter(
-            "repro_obs_slowlog_write_errors_total",
-            "Slow-query log writes that failed.",
-        ),
-    )
+    return {
+        "kernel_calls": int(catalogue.KERNEL_CALLS.total()),
+        "kernel_pairs": int(catalogue.KERNEL_PAIRS.total()),
+    }
 
 
 class SlowQueryLog:
@@ -157,7 +137,6 @@ class SlowQueryLog:
         record.update(request_annotations())
         record.update({k: v for k, v in fields.items() if v is not None})
         record.update(_kernel_counters())
-        slow_total, write_errors = _metrics()
         with self._lock:
             self._recorded += 1
             try:
@@ -175,14 +154,14 @@ class SlowQueryLog:
                     self._handle = open(self.path, "a", encoding="utf-8")
                     self._file_records = 0
             except OSError:
-                write_errors.inc()
+                catalogue.OBS_SLOWLOG_WRITE_ERRORS.inc()
                 try:
                     if self._handle is not None:
                         self._handle.close()
                 except OSError:
                     pass
                 self._handle = None
-        slow_total.inc(endpoint=endpoint)
+        catalogue.OBS_SLOW_QUERIES.inc(endpoint=endpoint)
         return record
 
     def stats(self) -> dict:

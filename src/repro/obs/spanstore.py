@@ -26,6 +26,8 @@ import threading
 from collections import deque
 from pathlib import Path
 
+from repro.obs import catalogue
+
 __all__ = [
     "SpanStore",
     "assemble_trace",
@@ -41,26 +43,6 @@ __all__ = [
 SPAN_DIR_ENV = "REPRO_SPAN_DIR"
 
 DEFAULT_MAX_RECORDS = 4096
-
-
-def _metrics():
-    from repro.obs.registry import get_registry
-
-    registry = get_registry()
-    return (
-        registry.counter(
-            "repro_obs_spans_recorded_total",
-            "Finished spans appended to the process span store.",
-        ),
-        registry.counter(
-            "repro_obs_spanstore_rotations_total",
-            "JSONL span-ring file rotations.",
-        ),
-        registry.counter(
-            "repro_obs_spanstore_write_errors_total",
-            "Span-ring JSONL writes that failed (store stays in-memory).",
-        ),
-    )
 
 
 class SpanStore:
@@ -85,15 +67,14 @@ class SpanStore:
     # ------------------------------------------------------------------
     def record(self, record: dict) -> None:
         """Append one finished-span record (usable as a span sink)."""
-        counters = _metrics()
         with self._lock:
             self._ring.append(record)
             self._recorded += 1
             if self._dir is not None:
-                self._write_locked(record, counters)
-        counters[0].inc()
+                self._write_locked(record)
+        catalogue.OBS_SPANS_RECORDED.inc()
 
-    def _write_locked(self, record: dict, counters) -> None:
+    def _write_locked(self, record: dict) -> None:
         try:
             if self._handle is None:
                 self._handle = open(self._current, "a", encoding="utf-8")
@@ -106,11 +87,11 @@ class SpanStore:
                 os.replace(self._current, f"{self._current}.1")
                 self._handle = open(self._current, "a", encoding="utf-8")
                 self._file_records = 0
-                counters[1].inc()
+                catalogue.OBS_SPANSTORE_ROTATIONS.inc()
         except OSError:
             # Persistence is best-effort: a full disk must not take the
             # traced request down with it.
-            counters[2].inc()
+            catalogue.OBS_SPANSTORE_WRITE_ERRORS.inc()
             try:
                 if self._handle is not None:
                     self._handle.close()

@@ -28,6 +28,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.obs import catalogue
 from repro.obs.exposition import MetricFamily, parse_exposition
 
 __all__ = [
@@ -234,7 +235,7 @@ def render_frame(prev: dict | None, curr: dict, base_url: str = "") -> str:
 
     requests = _total(families, "repro_requests_total")
     qps = _rate(prev, curr, "repro_requests_total")
-    shed = _rate(prev, curr, "repro_shed_requests_total")
+    shed = _rate(prev, curr, catalogue.SHED_REQUESTS.name)
     pcts = percentiles(prev, curr)
     lines.append(
         f"requests  {int(requests):>8} total   qps {_fmt_rate(qps)}   "
@@ -253,43 +254,43 @@ def render_frame(prev: dict | None, curr: dict, base_url: str = "") -> str:
         f"{int(entries) if entries is not None else '-'}"
     )
 
-    breaker = _gauge(families, "repro_breaker_state")
+    breaker = _gauge(families, catalogue.BREAKER_STATE.name)
     if breaker is not None:
-        rejections = _rate(prev, curr, "repro_breaker_rejections_total")
+        rejections = _rate(prev, curr, catalogue.BREAKER_REJECTIONS.name)
         lines.append(
             f"breaker   {_BREAKER_STATES.get(int(breaker), str(breaker))}"
             f"   rejections/s {_fmt_rate(rejections)}"
         )
 
-    shards = _gauge(families, "repro_cluster_shards")
+    shards = _gauge(families, catalogue.CLUSTER_SHARDS.name)
     if shards:
         up = {
             sample.labels.get("shard", "?"): int(sample.value)
-            for sample in _samples(families, "repro_cluster_replicas_up")
+            for sample in _samples(families, catalogue.CLUSTER_REPLICAS_UP.name)
         }
-        failovers = _rate(prev, curr, "repro_cluster_failovers_total")
+        failovers = _rate(prev, curr, catalogue.CLUSTER_FAILOVERS.name)
         health = " ".join(f"s{shard}:{count}" for shard, count in sorted(up.items()))
         lines.append(
             f"cluster   {int(shards)} shard(s)   replicas up [{health}]   "
             f"failovers/s {_fmt_rate(failovers)}"
         )
 
-    head = _gauge(families, "repro_stream_feed_head_offset")
+    head = _gauge(families, catalogue.STREAM_FEED_HEAD_OFFSET.name)
     if head is not None:
         lag = max(
-            (sample.value for sample in _samples(families, "repro_stream_feed_lag")),
+            (sample.value for sample in _samples(families, catalogue.STREAM_FEED_LAG.name)),
             default=None,
         )
-        subscribers = _gauge(families, "repro_stream_sse_subscribers")
+        subscribers = _gauge(families, catalogue.STREAM_SSE_SUBSCRIBERS.name)
         lines.append(
             f"stream    head {int(head)}   max consumer lag "
             f"{int(lag) if lag is not None else '-'}   sse subscribers "
             f"{int(subscribers or 0)}"
         )
 
-    slow = _total(families, "repro_obs_slow_queries_total")
-    spans = _total(families, "repro_obs_spans_recorded_total")
-    samples_taken = _total(families, "repro_obs_profiler_samples_total")
+    slow = _total(families, catalogue.OBS_SLOW_QUERIES.name)
+    spans = _total(families, catalogue.OBS_SPANS_RECORDED.name)
+    samples_taken = _total(families, catalogue.OBS_PROFILER_SAMPLES.name)
     lines.append(
         f"obs       slow queries {int(slow)}   spans {int(spans)}   "
         f"profiler samples {int(samples_taken)}"

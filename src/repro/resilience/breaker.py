@@ -33,6 +33,7 @@ import time
 from collections import deque
 
 from repro.errors import CircuitOpenError
+from repro.obs import catalogue
 
 __all__ = ["CircuitBreaker", "CLOSED", "HALF_OPEN", "OPEN"]
 
@@ -41,33 +42,6 @@ OPEN = "open"
 HALF_OPEN = "half-open"
 
 _STATE_VALUES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "transitions": registry.counter(
-                "repro_breaker_transitions_total",
-                "Circuit-breaker state transitions.",
-                labelnames=("from", "to"),
-            ),
-            "state": registry.gauge(
-                "repro_breaker_state",
-                "Storage circuit-breaker state (0 closed, 1 half-open, 2 open).",
-            ),
-            "rejections": registry.counter(
-                "repro_breaker_rejections_total",
-                "Calls refused because the breaker was open.",
-            ),
-        }
-    return _METRICS
 
 
 class CircuitBreaker:
@@ -103,7 +77,7 @@ class CircuitBreaker:
         self._opened_at: float | None = None
         self._probes_inflight = 0
         self._probe_failures = 0
-        _metrics()["state"].set(0)
+        catalogue.BREAKER_STATE.set(0)
 
     # ------------------------------------------------------------------
     @property
@@ -115,8 +89,8 @@ class CircuitBreaker:
     def _transition(self, to: str) -> None:
         if to == self._state:
             return
-        _metrics()["transitions"].inc(**{"from": self._state, "to": to})
-        _metrics()["state"].set(_STATE_VALUES[to])
+        catalogue.BREAKER_TRANSITIONS.inc(**{"from": self._state, "to": to})
+        catalogue.BREAKER_STATE.set(_STATE_VALUES[to])
         from repro.obs.logging import get_logger
 
         get_logger("repro.resilience").info(
@@ -162,7 +136,7 @@ class CircuitBreaker:
             if self._state == HALF_OPEN and self._probes_inflight < self.half_open_probes:
                 self._probes_inflight += 1
                 return True
-            _metrics()["rejections"].inc()
+            catalogue.BREAKER_REJECTIONS.inc()
             return False
 
     def retry_after(self) -> float:

@@ -28,6 +28,7 @@ import contextvars
 import time
 
 from repro.errors import DeadlineExceededError
+from repro.obs import catalogue
 
 __all__ = [
     "Deadline",
@@ -40,24 +41,6 @@ __all__ = [
 _CURRENT: contextvars.ContextVar["Deadline | None"] = contextvars.ContextVar(
     "repro_deadline", default=None
 )
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        _METRICS = {
-            "expiries": get_registry().counter(
-                "repro_deadline_expiries_total",
-                "Request deadlines noticed expired, by checkpoint site.",
-                labelnames=("site",),
-            ),
-        }
-    return _METRICS
 
 
 class Deadline:
@@ -87,7 +70,7 @@ class Deadline:
         """Raise :class:`DeadlineExceededError` if the budget is gone."""
         overrun = time.monotonic() - self.expires_at
         if overrun >= 0:
-            _metrics()["expiries"].inc(site=site or "unknown")
+            catalogue.DEADLINE_EXPIRIES.inc(site=site or "unknown")
             raise DeadlineExceededError(site=site, overrun_ms=overrun * 1000.0)
 
     def __repr__(self) -> str:

@@ -71,6 +71,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.errors import ComputationError
+from repro.obs import catalogue
 
 __all__ = [
     "Fault",
@@ -113,24 +114,6 @@ SITES = (
 )
 
 _MODES = ("error", "delay", "torn", "kill")
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        _METRICS = {
-            "injected": get_registry().counter(
-                "repro_faults_injected_total",
-                "Faults fired by the process-wide injector.",
-                labelnames=("site", "mode"),
-            ),
-        }
-    return _METRICS
 
 
 class InjectedFault(ComputationError):
@@ -250,7 +233,7 @@ class FaultInjector:
             fault = self._select(site)
         if fault is None:
             return None
-        _metrics()["injected"].inc(site=site, mode=fault.mode)
+        catalogue.FAULTS_INJECTED.inc(site=site, mode=fault.mode)
         if fault.mode == "delay":
             time.sleep(fault.seconds)
             return None

@@ -43,52 +43,12 @@ import zlib
 from pathlib import Path
 
 from repro.errors import StorageError
+from repro.obs import catalogue
 from repro.resilience.faults import inject
 
 __all__ = ["BackgroundScrubber", "scrub_store"]
 
 QUARANTINE_SUFFIX = ".quarantine"
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "runs": registry.counter(
-                "repro_scrub_runs_total", "Store scrub passes completed."
-            ),
-            "verified": registry.counter(
-                "repro_scrub_segments_verified_total",
-                "Segments that passed CRC (and deep) verification.",
-            ),
-            "corrupt": registry.counter(
-                "repro_scrub_corrupt_segments_total",
-                "Segments found corrupt by a scrub pass.",
-            ),
-            "quarantined": registry.counter(
-                "repro_scrub_quarantines_total",
-                "Corrupt segment files renamed aside for forensics.",
-            ),
-            "rebuilt": registry.counter(
-                "repro_scrub_rebuilt_total",
-                "Quarantined segments restored from a prior generation.",
-            ),
-            "irreparable": registry.counter(
-                "repro_scrub_irreparable_total",
-                "Segments lost with no recoverable copy (reported, dropped).",
-            ),
-            "last_ok": registry.gauge(
-                "repro_scrub_last_ok",
-                "1 when the most recent scrub found a fully healthy store.",
-            ),
-        }
-    return _METRICS
 
 
 def _segment_problem(store, entry: dict, deep: bool) -> str | None:
@@ -184,7 +144,6 @@ def scrub_store(store_or_path, repair: bool = True, deep: bool = True) -> dict:
         else SegmentStore.open(store_or_path)
     )
     logger = get_logger("repro.resilience")
-    metrics = _metrics()
     held = store._lock_handle is not None
     if repair:
         # Mutating scrub must not race a compaction in another process.
@@ -207,12 +166,12 @@ def scrub_store(store_or_path, repair: bool = True, deep: bool = True) -> dict:
                 inject("scrub.segment")
                 problem = _segment_problem(store, entry, deep)
                 if problem is None:
-                    metrics["verified"].inc()
+                    catalogue.SCRUB_SEGMENTS_VERIFIED.inc()
                     report["verified"] += 1
                     surviving.append(entry)
                     continue
                 report["ok"] = False
-                metrics["corrupt"].inc()
+                catalogue.SCRUB_CORRUPT_SEGMENTS.inc()
                 logger.warning(
                     "scrub: segment %s is corrupt (%s)", entry["name"], problem
                 )
@@ -223,7 +182,7 @@ def scrub_store(store_or_path, repair: bool = True, deep: bool = True) -> dict:
                 path = store.path / entry["name"]
                 if path.exists():
                     path.rename(path.with_name(path.name + QUARANTINE_SUFFIX))
-                metrics["quarantined"].inc()
+                catalogue.SCRUB_QUARANTINES.inc()
                 report["quarantined"].append(entry["name"])
                 candidate = _rebuild_candidate(store, entry)
                 if candidate is not None:
@@ -231,7 +190,7 @@ def scrub_store(store_or_path, repair: bool = True, deep: bool = True) -> dict:
                     blob = path.read_bytes()
                     entry = {**entry, "bytes": len(blob), "crc32": zlib.crc32(blob)}
                     manifest_dirty = True
-                    metrics["rebuilt"].inc()
+                    catalogue.SCRUB_REBUILT.inc()
                     report["rebuilt"].append(entry["name"])
                     logger.info(
                         "scrub: rebuilt %s from prior-generation copy %s",
@@ -240,7 +199,7 @@ def scrub_store(store_or_path, repair: bool = True, deep: bool = True) -> dict:
                     )
                     surviving.append(entry)
                     continue
-                metrics["irreparable"].inc()
+                catalogue.SCRUB_IRREPARABLE.inc()
                 loss = {
                     "name": entry["name"],
                     "full": entry.get("full", 0),
@@ -274,8 +233,8 @@ def scrub_store(store_or_path, repair: bool = True, deep: bool = True) -> dict:
                 report["ok"] = False
                 report["wal"] = {"records": None, "torn_tail": False, "error": str(exc)}
                 logger.error("scrub: WAL is corrupt mid-file: %s", exc)
-        metrics["runs"].inc()
-        metrics["last_ok"].set(1 if report["ok"] else 0)
+        catalogue.SCRUB_RUNS.inc()
+        catalogue.SCRUB_LAST_OK.set(1 if report["ok"] else 0)
         return report
     finally:
         if repair and not held:

@@ -33,35 +33,9 @@ import contextlib
 import threading
 
 from repro.errors import OverloadedError
+from repro.obs import catalogue
 
 __all__ = ["LoadShedder"]
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "shed": registry.counter(
-                "repro_shed_requests_total",
-                "Requests refused with 503 by admission control.",
-            ),
-            "inflight": registry.gauge(
-                "repro_inflight_requests",
-                "Requests currently executing in the serving layer.",
-            ),
-            "queued": registry.gauge(
-                "repro_queued_requests",
-                "Requests waiting for an execution slot.",
-            ),
-        }
-    return _METRICS
-
 
 class LoadShedder:
     """Two-stage admission: bounded concurrency, bounded wait queue."""
@@ -93,26 +67,25 @@ class LoadShedder:
         time) for one.  A closed shedder (draining server) refuses
         everything.
         """
-        metrics = _metrics()
         with self._lock:
             if self._closed:
-                metrics["shed"].inc()
+                catalogue.SHED_REQUESTS.inc()
                 raise OverloadedError(
                     "server is shutting down", retry_after=self.retry_after
                 )
             if self._inflight < self.max_inflight:
                 self._inflight += 1
-                metrics["inflight"].set(self._inflight)
+                catalogue.INFLIGHT_REQUESTS.set(self._inflight)
                 return
             if self._queued >= self.max_queued:
-                metrics["shed"].inc()
+                catalogue.SHED_REQUESTS.inc()
                 raise OverloadedError(
                     f"request queue full ({self._inflight} in flight, "
                     f"{self._queued} queued)",
                     retry_after=self.retry_after,
                 )
             self._queued += 1
-            metrics["queued"].set(self._queued)
+            catalogue.QUEUED_REQUESTS.set(self._queued)
             try:
                 granted = self._slot_freed.wait_for(
                     lambda: self._closed or self._inflight < self.max_inflight,
@@ -120,20 +93,20 @@ class LoadShedder:
                 )
             finally:
                 self._queued -= 1
-                metrics["queued"].set(self._queued)
+                catalogue.QUEUED_REQUESTS.set(self._queued)
             if not granted or self._closed:
-                metrics["shed"].inc()
+                catalogue.SHED_REQUESTS.inc()
                 raise OverloadedError(
                     "timed out waiting for an execution slot",
                     retry_after=self.retry_after,
                 )
             self._inflight += 1
-            metrics["inflight"].set(self._inflight)
+            catalogue.INFLIGHT_REQUESTS.set(self._inflight)
 
     def release(self) -> None:
         with self._lock:
             self._inflight = max(0, self._inflight - 1)
-            _metrics()["inflight"].set(self._inflight)
+            catalogue.INFLIGHT_REQUESTS.set(self._inflight)
             self._slot_freed.notify()
 
     @contextlib.contextmanager

@@ -31,6 +31,7 @@ from repro.errors import ServiceError, StorageError, UnknownObservationError
 from repro.core.api import remove_observations, update_relationships
 from repro.core.results import RelationshipDelta, RelationshipSet
 from repro.core.space import ObservationSpace
+from repro.obs import catalogue
 from repro.rdf.terms import URIRef
 from repro.resilience.deadline import check_deadline
 from repro.service.cache import LRUCache
@@ -40,29 +41,6 @@ from repro.service.rwlock import RWLock
 __all__ = ["QueryEngine"]
 
 NewObservation = tuple[URIRef, URIRef, Mapping[URIRef, URIRef], Iterable[URIRef]]
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "sink_errors": registry.counter(
-                "repro_engine_delta_sink_errors_total",
-                "Delta-sink (WAL append) failures during engine writes.",
-            ),
-            "feed_publish_errors": registry.counter(
-                "repro_stream_feed_publish_errors_total",
-                "Changefeed publishes that failed after a durable WAL append.",
-            ),
-        }
-    return _METRICS
-
 
 class QueryEngine:
     """Cached, lock-protected queries over a relationship index."""
@@ -367,7 +345,7 @@ class QueryEngine:
         try:
             self.delta_sink(delta)
         except (OSError, StorageError) as exc:
-            _metrics()["sink_errors"].inc()
+            catalogue.ENGINE_DELTA_SINK_ERRORS.inc()
             raise ServiceError(f"write-ahead log append failed: {exc}") from exc
         self.wal_appends += 1
 
@@ -390,7 +368,7 @@ class QueryEngine:
                 delta, op=op, trace_id=current_trace_id()
             )
         except (OSError, StorageError):
-            _metrics()["feed_publish_errors"].inc()
+            catalogue.STREAM_FEED_PUBLISH_ERRORS.inc()
 
     def insert(self, observations: Iterable[NewObservation]):
         """Insert observations; returns the applied delta.

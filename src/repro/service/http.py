@@ -31,6 +31,7 @@ from repro.errors import (
     ShardUnavailableError,
     UnknownObservationError,
 )
+from repro.obs import catalogue
 from repro.obs import slowlog as _slowlog
 from repro.obs.tracing import bind_parent_span, bind_trace, new_trace_id, recorder, trace
 from repro.resilience.deadline import Deadline, bind_deadline
@@ -68,39 +69,6 @@ STREAMED = object()
 MAX_LONGPOLL_SECONDS = 60.0
 #: Hard cap on change records per response/SSE write burst.
 MAX_CHANGE_BATCH = 1000
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_SSE_METRICS = None
-
-
-def _sse_metrics():
-    global _SSE_METRICS
-    if _SSE_METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _SSE_METRICS = {
-            "events": registry.counter(
-                "repro_stream_sse_events_total",
-                "Change events written to SSE subscribers.",
-            ),
-            "streams": registry.gauge(
-                "repro_stream_sse_subscribers",
-                "Currently connected SSE changefeed subscribers.",
-            ),
-            "longpoll_wait": registry.histogram(
-                "repro_stream_longpoll_wait_seconds",
-                "Time /changes requests spent blocked waiting for new records.",
-                buckets=(0.005, 0.05, 0.25, 1.0, 5.0, 15.0, 30.0, 60.0),
-            ),
-            "sse_write": registry.histogram(
-                "repro_stream_sse_write_seconds",
-                "Per-burst SSE serialisation+flush latency.",
-                buckets=(0.0005, 0.005, 0.05, 0.25, 1.0, 5.0),
-            ),
-        }
-    return _SSE_METRICS
-
 
 class _HTTPError(Exception):
     """Internal: abort the request with this status/message."""
@@ -528,8 +496,7 @@ class RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Cache-Control", "no-cache")
         self.send_header("X-Trace-Id", self._trace_id)
         self.end_headers()
-        metrics = _sse_metrics()
-        metrics["streams"].inc()
+        catalogue.STREAM_SSE_SUBSCRIBERS.inc()
         started = time.monotonic()
         try:
             while not self.server.shedder.closed:  # draining: reconnect elsewhere
@@ -548,15 +515,17 @@ class RequestHandler(BaseHTTPRequestHandler):
                         )
                     cursor = records[-1]["offset"]
                     self.wfile.flush()
-                    metrics["sse_write"].observe(time.perf_counter() - write_started)
-                    metrics["events"].inc(len(records))
+                    catalogue.STREAM_SSE_WRITE_SECONDS.observe(
+                        time.perf_counter() - write_started
+                    )
+                    catalogue.STREAM_SSE_EVENTS.inc(len(records))
                 else:
                     self.wfile.write(b": heartbeat\n\n")
                     self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError, OSError):
             pass  # subscriber went away; the stream just ends
         finally:
-            metrics["streams"].inc(-1.0)
+            catalogue.STREAM_SSE_SUBSCRIBERS.inc(-1.0)
         return STREAMED
 
 
@@ -601,13 +570,8 @@ class HTTPServer(ThreadingHTTPServer):
         if threads and threads > 0:
             self._pool = _HandlerPool(self, threads)
         self.pool_threads = threads if self._pool is not None else 0
-        # Every instrumented layer's series shows up (zero-valued) on
-        # the very first /metrics scrape instead of trickling in as
-        # compute and storage paths first run.
-        from repro.obs import preregister
         from repro.obs.spanstore import install_span_store
 
-        preregister()
         # The span store backs /debug/trace/<id>; ``span_dir`` (or
         # $REPRO_SPAN_DIR) adds the JSONL ring on disk.
         install_span_store(span_dir)

@@ -35,6 +35,7 @@ import json
 import time
 
 from repro.errors import CircuitOpenError, StorageError
+from repro.obs import catalogue
 from repro.rdf.terms import URIRef
 from repro.resilience.deadline import current_deadline
 from repro.resilience.shed import LoadShedder
@@ -48,7 +49,6 @@ from repro.service.http import (
     RequestHandler,
     Route,
     _HTTPError,
-    _sse_metrics,
     pooled_handle,  # noqa: F401 - public import path
     query_param,
 )
@@ -132,7 +132,7 @@ class RelationshipHandler(RequestHandler):
             **({"storage": stats["storage"]} if "storage" in stats else {}),
         }
 
-    def _metrics(self, query: dict):
+    def _scrape(self, query: dict):
         stats, _ = self._engine_stats()  # registry-only scrape on outage
         return Reply(200, self.server.metrics.render(stats), PROMETHEUS)
 
@@ -299,7 +299,7 @@ class RelationshipHandler(RequestHandler):
         timeout = self._longpoll_budget(query)
         waited = time.perf_counter()
         records = feed.wait_for(since, timeout=timeout, limit=limit)
-        _sse_metrics()["longpoll_wait"].observe(time.perf_counter() - waited)
+        catalogue.STREAM_LONGPOLL_WAIT_SECONDS.observe(time.perf_counter() - waited)
         payload = {
             "since": since,
             "head": feed.head_offset,
@@ -325,7 +325,7 @@ class RelationshipHandler(RequestHandler):
 
     routes = (
         Route("GET", "/healthz", "healthz", _healthz),
-        Route("GET", "/metrics", "metrics", _metrics),
+        Route("GET", "/metrics", "metrics", _scrape),
         Route("GET", "/stats", "stats", _stats),
         *RequestHandler.debug_routes,
         Route("GET", "/changes", "changes", _read_changes),

@@ -29,6 +29,8 @@ from __future__ import annotations
 import threading
 
 from repro.core.results import RelationshipSet
+from repro.obs import catalogue
+from repro.obs.tracing import trace
 from repro.service.index import RelationshipIndex
 
 __all__ = ["SegmentRelationshipSet", "LazyRelationshipIndex"]
@@ -82,13 +84,7 @@ class SegmentRelationshipSet(RelationshipSet):
         with self.__dict__["_build_lock"]:
             if self.__dict__.get("_loaded"):
                 return
-            from repro.obs.registry import get_registry
-            from repro.obs.tracing import trace
-
-            get_registry().counter(
-                "repro_storage_lazy_materialisations_total",
-                "Lazy segment views materialised on first access.",
-            ).inc()
+            catalogue.STORAGE_LAZY_MATERIALISATIONS.inc()
             from repro.resilience.deadline import check_deadline
 
             check_deadline("lazy.materialise")

@@ -59,6 +59,7 @@ except ImportError:  # pragma: no cover - non-POSIX: no cross-process lock
 
 from repro.errors import StorageError
 from repro.core.results import RelationshipDelta, RelationshipSet
+from repro.obs import catalogue
 from repro.obs.tracing import trace
 from repro.resilience.deadline import check_deadline
 from repro.resilience.faults import inject
@@ -81,40 +82,6 @@ MANIFEST_NAME = "MANIFEST.json"
 LOCK_NAME = ".lock"
 SEGMENT_STORE_FORMAT = "repro-segments"
 SEGMENT_STORE_VERSION = 1
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "segment_loads": registry.counter(
-                "repro_storage_segment_loads_total",
-                "Immutable segment files decoded (mmap + parse).",
-            ),
-            "mmap_bytes": registry.counter(
-                "repro_storage_mmap_bytes_total",
-                "Segment bytes memory-mapped for decoding.",
-            ),
-            "generations": registry.counter(
-                "repro_storage_generations_total",
-                "Segment generations committed (writes and compactions).",
-            ),
-            "bytes_written": registry.counter(
-                "repro_storage_segment_bytes_written_total",
-                "Segment bytes written across committed generations.",
-            ),
-            "compactions": registry.counter(
-                "repro_storage_compactions_total",
-                "WAL-folding compactions completed.",
-            ),
-        }
-    return _METRICS
 
 #: Manifest key for pairs whose container is unknown to the space (or
 #: when no space was supplied): the single default partition.
@@ -341,9 +308,8 @@ class SegmentStore:
         atomic_write_text(self.path / MANIFEST_NAME, json.dumps(manifest, indent=2))
         old_manifest, self.manifest = self.manifest, manifest
         self._cleanup(old_manifest)
-        metrics = _metrics()
-        metrics["generations"].inc()
-        metrics["bytes_written"].inc(sum(entry["bytes"] for entry in entries))
+        catalogue.STORAGE_GENERATIONS.inc()
+        catalogue.STORAGE_SEGMENT_BYTES_WRITTEN.inc(sum(entry["bytes"] for entry in entries))
 
     def _cleanup(self, old_manifest: dict) -> None:
         keep = {entry["name"] for entry in self.manifest.get("segments", ())}
@@ -380,9 +346,8 @@ class SegmentStore:
                 size = os.fstat(handle.fileno()).st_size
                 if size == 0:
                     raise StorageError(f"{path}: empty segment file")
-                metrics = _metrics()
-                metrics["segment_loads"].inc()
-                metrics["mmap_bytes"].inc(size)
+                catalogue.STORAGE_SEGMENT_LOADS.inc()
+                catalogue.STORAGE_MMAP_BYTES.inc(size)
                 inject("mmap.attach")
                 view = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
                 try:
@@ -601,7 +566,7 @@ class SegmentStore:
                 records, _ = self.wal.records()
                 result = self.load(apply_wal=True)
                 self.write(result, space)
-                _metrics()["compactions"].inc()
+                catalogue.STORAGE_COMPACTIONS.inc()
         finally:
             if not held:
                 self.release_writer_lock()

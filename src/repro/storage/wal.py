@@ -41,6 +41,7 @@ from pathlib import Path
 
 from repro.errors import StorageError
 from repro.core.results import RelationshipDelta, RelationshipSet
+from repro.obs import catalogue
 from repro.rdf.terms import URIRef
 
 __all__ = [
@@ -51,37 +52,6 @@ __all__ = [
     "set_from_payload",
     "replay_into",
 ]
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "appends": registry.counter(
-                "repro_wal_appends_total",
-                "Records durably appended to write-ahead logs.",
-            ),
-            "append_bytes": registry.counter(
-                "repro_wal_append_bytes_total",
-                "Bytes durably appended to write-ahead logs.",
-            ),
-            "repairs": registry.counter(
-                "repro_wal_repairs_total",
-                "Torn WAL tails dropped during replay or reopen.",
-            ),
-            "replayed": registry.counter(
-                "repro_wal_replayed_records_total",
-                "WAL records folded into live relationship state.",
-            ),
-        }
-    return _METRICS
-
 
 # ----------------------------------------------------------------------
 # Payload (de)serialisation
@@ -264,9 +234,8 @@ class WriteAheadLog:
         self._handle.flush()
         inject("wal.fsync")
         os.fsync(self._handle.fileno())
-        metrics = _metrics()
-        metrics["appends"].inc()
-        metrics["append_bytes"].inc(len(line.encode("utf-8")))
+        catalogue.WAL_APPENDS.inc()
+        catalogue.WAL_APPEND_BYTES.inc(len(line.encode("utf-8")))
 
     def append_delta(self, delta: RelationshipDelta) -> None:
         self.append({"type": "delta", **delta_to_payload(delta)})
@@ -300,7 +269,7 @@ class WriteAheadLog:
                             self.path, "".join(l + "\n" for l in lines[:index])
                         )
                         self.last_repair = time.time()
-                        _metrics()["repairs"].inc()
+                        catalogue.WAL_REPAIRS.inc()
                     break
                 raise StorageError(
                     f"corrupt WAL {self.path} at record {index + 1}: CRC mismatch"
@@ -357,5 +326,5 @@ def replay_into(result: RelationshipSet, records) -> int:
         else:
             raise StorageError(f"unknown WAL record type {kind!r}")
     if applied:
-        _metrics()["replayed"].inc(applied)
+        catalogue.WAL_REPLAYED_RECORDS.inc(applied)
     return applied

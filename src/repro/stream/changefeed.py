@@ -48,6 +48,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 from repro.core.results import RelationshipDelta
 from repro.errors import StorageError
+from repro.obs import catalogue
 from repro.storage.wal import WriteAheadLog, delta_from_payload, delta_to_payload
 
 __all__ = [
@@ -62,51 +63,6 @@ SEGMENT_SUFFIX = ".jsonl"
 CONSUMERS_FILE = "CONSUMERS.json"
 #: Rotate the active feed segment once it crosses this size.
 DEFAULT_ROTATE_BYTES = 4 * 1024 * 1024
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "published": registry.counter(
-                "repro_stream_published_changes_total",
-                "Deltas published to the relationship changefeed.",
-            ),
-            "head": registry.gauge(
-                "repro_stream_feed_head_offset",
-                "Highest offset durably published to the changefeed.",
-            ),
-            "rotations": registry.counter(
-                "repro_stream_feed_rotations_total",
-                "Changefeed segment rotations.",
-            ),
-            "read": registry.counter(
-                "repro_stream_changes_read_total",
-                "Change records returned to feed readers.",
-            ),
-            "waits": registry.counter(
-                "repro_stream_longpoll_waits_total",
-                "Feed reads that blocked waiting for new offsets.",
-            ),
-            "consumer_offset": registry.gauge(
-                "repro_stream_consumer_offset",
-                "Last offset durably committed per named consumer.",
-                labelnames=("consumer",),
-            ),
-            "lag": registry.gauge(
-                "repro_stream_feed_lag",
-                "Feed head minus committed offset per named consumer.",
-                labelnames=("consumer",),
-            ),
-        }
-    return _METRICS
-
 
 def change_record(
     offset: int,
@@ -262,7 +218,7 @@ class _ConsumerOffsets:
             atomic_write_text(
                 self.path, json.dumps(offsets, indent=2, sort_keys=True) + "\n"
             )
-        _metrics()["consumer_offset"].set(offset, consumer=consumer)
+        catalogue.STREAM_CONSUMER_OFFSET.set(offset, consumer=consumer)
         return offset
 
 
@@ -303,7 +259,7 @@ class Changefeed:
                 # Offsets are monotonic, not dense (docs/streaming.md).
                 head += 1
         self._head = head
-        _metrics()["head"].set(float(head))
+        catalogue.STREAM_FEED_HEAD_OFFSET.set(float(head))
 
     def close(self) -> None:
         with self._cond:
@@ -339,11 +295,10 @@ class Changefeed:
                 wal.close()
                 self._wal = None
                 self._segments.append((offset + 1, self.path / _segment_name(offset + 1)))
-                _metrics()["rotations"].inc()
+                catalogue.STREAM_FEED_ROTATIONS.inc()
             self._cond.notify_all()
-        metrics = _metrics()
-        metrics["published"].inc()
-        metrics["head"].set(float(offset))
+        catalogue.STREAM_PUBLISHED_CHANGES.inc()
+        catalogue.STREAM_FEED_HEAD_OFFSET.set(float(offset))
         return offset
 
     # -- reading -------------------------------------------------------
@@ -360,7 +315,7 @@ class Changefeed:
         if since >= head:
             return []
         records = _read_segments(segments, since, limit, repair=False)
-        _metrics()["read"].inc(len(records))
+        catalogue.STREAM_CHANGES_READ.inc(len(records))
         return records
 
     def wait_for(
@@ -371,7 +326,7 @@ class Changefeed:
             deadline = time.monotonic() + timeout
             with self._cond:
                 if self._head <= since:
-                    _metrics()["waits"].inc()
+                    catalogue.STREAM_LONGPOLL_WAITS.inc()
                 while self._head <= since:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0 or not self._cond.wait(remaining):
@@ -384,7 +339,7 @@ class Changefeed:
 
     def commit(self, consumer: str, offset: int) -> int:
         offset = self.consumers.commit(consumer, offset)
-        _metrics()["lag"].set(float(max(self.head_offset - offset, 0)), consumer=consumer)
+        catalogue.STREAM_FEED_LAG.set(float(max(self.head_offset - offset, 0)), consumer=consumer)
         return offset
 
     def describe(self) -> dict:
@@ -426,7 +381,7 @@ class ChangefeedReader:
 
     def read(self, since: int = 0, limit: int | None = None) -> list[dict]:
         records = _read_segments(_list_segments(self.path), since, limit, repair=False)
-        _metrics()["read"].inc(len(records))
+        catalogue.STREAM_CHANGES_READ.inc(len(records))
         return records
 
     def wait_for(
@@ -435,7 +390,7 @@ class ChangefeedReader:
         records = self.read(since, limit)
         if records or timeout <= 0:
             return records
-        _metrics()["waits"].inc()
+        catalogue.STREAM_LONGPOLL_WAITS.inc()
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             time.sleep(min(self.POLL_INTERVAL, max(deadline - time.monotonic(), 0.01)))
@@ -449,7 +404,7 @@ class ChangefeedReader:
 
     def commit(self, consumer: str, offset: int) -> int:
         offset = self.consumers.commit(consumer, offset)
-        _metrics()["lag"].set(float(max(self.head_offset - offset, 0)), consumer=consumer)
+        catalogue.STREAM_FEED_LAG.set(float(max(self.head_offset - offset, 0)), consumer=consumer)
         return offset
 
     def describe(self) -> dict:

@@ -45,6 +45,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ReproError
+from repro.obs import catalogue
 from repro.rdf.namespaces import QB, RDF
 from repro.rdf.ntriples import iter_ntriples
 from repro.rdf.terms import Literal, URIRef
@@ -68,49 +69,6 @@ __all__ = [
 #: ``flush_interval`` against any pending partial batch instead of
 #: letting it sit buffered until the next real line arrives.
 IDLE = object()
-
-# Registry metrics resolved once per process; see docs/observability.md.
-_METRICS = None
-
-
-def _metrics():
-    global _METRICS
-    if _METRICS is None:
-        from repro.obs.registry import get_registry
-
-        registry = get_registry()
-        _METRICS = {
-            "ingested": registry.counter(
-                "repro_stream_ingested_observations_total",
-                "Observations successfully applied by streaming ingest.",
-            ),
-            "batches": registry.counter(
-                "repro_stream_ingest_batches_total",
-                "Observation batches flushed by streaming ingest.",
-            ),
-            "latency": registry.histogram(
-                "repro_stream_ingest_batch_latency_seconds",
-                "Wall time to apply one ingest batch (parse to ack).",
-            ),
-            "parse_errors": registry.counter(
-                "repro_stream_ingest_parse_errors_total",
-                "Input lines dropped because they failed to parse.",
-            ),
-            "retries": registry.counter(
-                "repro_stream_ingest_retries_total",
-                "Batch submissions retried after overload or I/O errors.",
-            ),
-            "failures": registry.counter(
-                "repro_stream_ingest_failed_batches_total",
-                "Batches dropped after exhausting retries.",
-            ),
-            "inflight": registry.gauge(
-                "repro_stream_ingest_inflight_batches",
-                "Ingest batches currently being applied.",
-            ),
-        }
-    return _METRICS
-
 
 class IngestError(ReproError):
     """A fatal ingest failure (bad source, unreachable sink)."""
@@ -204,7 +162,7 @@ class CsvObservationParser:
 
     def _bad(self, line: str) -> None:
         self.errors += 1
-        _metrics()["parse_errors"].inc()
+        catalogue.STREAM_INGEST_PARSE_ERRORS.inc()
 
 
 class NTriplesObservationParser:
@@ -233,7 +191,7 @@ class NTriplesObservationParser:
             triple = next(iter_ntriples([line]))
         except (ReproError, ValueError, StopIteration) as exc:
             self.errors += 1
-            _metrics()["parse_errors"].inc()
+            catalogue.STREAM_INGEST_PARSE_ERRORS.inc()
             return []
         subject = triple[0]
         out: list[dict] = []
@@ -268,13 +226,13 @@ class NTriplesObservationParser:
                     measures.append(str(predicate))
         if dataset is None:
             self.errors += 1
-            _metrics()["parse_errors"].inc()
+            catalogue.STREAM_INGEST_PARSE_ERRORS.inc()
             return []
         if self.schema is not None:
             declared = self.schema.get(dataset)
             if declared is None:
                 self.errors += 1
-                _metrics()["parse_errors"].inc()
+                catalogue.STREAM_INGEST_PARSE_ERRORS.inc()
                 return []
             dim_props, measure_props = declared
             for _, predicate, obj in triples:
@@ -402,7 +360,7 @@ class HttpSink:
                 exc.close()
                 if exc.code in (503, 504) and attempts < self.max_retries:
                     attempts += 1
-                    _metrics()["retries"].inc()
+                    catalogue.STREAM_INGEST_RETRIES.inc()
                     try:
                         wait = float(retry_after) if retry_after else delay
                     except ValueError:
@@ -416,7 +374,7 @@ class HttpSink:
             except (urllib.error.URLError, OSError, TimeoutError) as exc:
                 if attempts < self.max_retries:
                     attempts += 1
-                    _metrics()["retries"].inc()
+                    catalogue.STREAM_INGEST_RETRIES.inc()
                     time.sleep(delay)
                     delay = min(delay * 2, 5.0)
                     continue
@@ -549,24 +507,23 @@ class StreamIngester:
         thread.start()
 
     def _apply(self, entries: list[dict], trace_id: str, stats: IngestStats) -> None:
-        metrics = _metrics()
-        metrics["inflight"].inc()
+        catalogue.STREAM_INGEST_INFLIGHT_BATCHES.inc()
         started = time.perf_counter()
         try:
             ack = self.sink.send(entries, trace_id=trace_id)
         except IngestError as exc:
-            metrics["failures"].inc()
+            catalogue.STREAM_INGEST_FAILED_BATCHES.inc()
             with self._lock:
                 stats.failed_batches += 1
                 self._errors.append(exc)
             return
         finally:
-            metrics["inflight"].inc(-1.0)
+            catalogue.STREAM_INGEST_INFLIGHT_BATCHES.inc(-1.0)
             self._slots.release()
         elapsed = time.perf_counter() - started
-        metrics["latency"].observe(elapsed)
-        metrics["batches"].inc()
-        metrics["ingested"].inc(len(entries))
+        catalogue.STREAM_INGEST_BATCH_LATENCY_SECONDS.observe(elapsed)
+        catalogue.STREAM_INGEST_BATCHES.inc()
+        catalogue.STREAM_INGESTED_OBSERVATIONS.inc(len(entries))
         with self._lock:
             stats.observations += len(entries)
             stats.batches += 1

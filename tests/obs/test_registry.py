@@ -10,7 +10,6 @@ from repro.obs.registry import (
     escape_label_value,
     format_value,
     get_registry,
-    install_standard_metrics,
 )
 
 from tests.exposition import parse_exposition, validate
@@ -137,9 +136,8 @@ class TestRegistry:
         registry.reset()
         assert registry.counter("r_total", "R.").value() == 0
 
-    def test_standard_metrics(self, registry):
-        install_standard_metrics(registry)
-        text = registry.render()
+    def test_standard_metrics(self):
+        text = get_registry().render()
         assert "repro_build_info" in text
         assert "repro_process_uptime_seconds" in text
         assert validate(text, require=("repro_build_info",)) == []

@@ -75,9 +75,6 @@ class TestAnnotations:
         assert record["role"] == "explicit"
 
     def test_kernel_counters_snapshotted(self, log):
-        from repro.core.kernels import _registry_counters
-
-        _registry_counters()  # force-register the kernel families
         record = log.maybe_record("x", 0.1)
         assert "kernel_calls" in record and "kernel_pairs" in record
 

@@ -1,10 +1,12 @@
-"""Property-based equivalence: every cubeMasking path vs the baseline.
+"""Property-based equivalence: every compute path vs the oracle.
 
 Hypothesis drives random spaces (random hierarchies, missing
-dimensions, 0..N observations) through the sequential path, the
-runner's ``score_range`` units and the incremental path, asserting
-``RelationshipSet``s identical to the baseline — including degrees
-and partial-dimension maps — and path-independent pruning statistics.
+dimensions, 0..N observations) through the baseline, the sequential
+cubeMasking path, the runner's ``score_range`` units and the
+incremental path, asserting ``RelationshipSet``s identical to the
+executable oracle (:mod:`tests.oracle`, a double loop over the
+reference predicates) — including degrees and partial-dimension maps —
+and path-independent pruning statistics.
 Chunk/tile boundaries are swept explicitly: a block split at every
 possible boundary must produce the same partial results and dimension
 masks as one monolithic evaluation.
@@ -20,6 +22,7 @@ from repro.core.kernels import build_kernel_plan, evaluate_pair_block
 from repro.core.parallel import enumerate_unit_ranges
 from repro.core.results import RelationshipSet
 
+from tests.oracle import oracle
 from tests.property.strategies import observation_spaces
 
 ALL_TARGETS = ("complementary", "full", "partial")
@@ -28,9 +31,10 @@ ALL_TARGETS = ("complementary", "full", "partial")
 @given(observation_spaces(max_observations=18), st.booleans(), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_kernel_matches_python_and_baseline(space, prefetch, collect_dims):
-    """Sequential runs (``kernel`` "auto" and "numpy") equal the
-    baseline, and their stats equal the planner's precomputed
-    counters."""
+    """The baseline and sequential cubeMasking runs (``kernel`` "auto"
+    and "numpy") equal the oracle, and the cubeMasking stats equal the
+    planner's precomputed counters."""
+    expected = oracle(space)
     baseline = compute_baseline(space, collect_partial_dimensions=collect_dims)
     auto_stats, numpy_stats = {}, {}
     auto_result = compute_cubemask(
@@ -46,11 +50,11 @@ def test_kernel_matches_python_and_baseline(space, prefetch, collect_dims):
         kernel="numpy",
         stats=numpy_stats,
     )
-    for result in (auto_result, numpy_result):
-        assert result == baseline
-        assert result.degrees == baseline.degrees
+    for result in (baseline, auto_result, numpy_result):
+        assert result == expected
+        assert result.degrees == expected.degrees
         if collect_dims:
-            assert result.partial_map == baseline.partial_map
+            assert result.partial_map == expected.partial_map
     for key in STAT_KEYS:
         if key != "kernel_ns":
             assert auto_stats[key] == numpy_stats[key], key
@@ -72,10 +76,10 @@ def test_kernel_matches_python_and_baseline(space, prefetch, collect_dims):
 @settings(max_examples=20, deadline=None)
 def test_parallel_scoring_matches_python(space, collect_dims, unit_size):
     """The runner's scoring path (shared state + ``score_range``
-    units) agrees with the baseline on partial results *and*
+    units) agrees with the oracle on partial results *and*
     ``partial_dim_masks`` — including ``unit_size=1`` single-cube-pair
     units and one monolithic range."""
-    expected = compute_baseline(space, collect_partial_dimensions=collect_dims)
+    expected = oracle(space)
     state = build_cubemask_state(space, ALL_TARGETS, collect_partial_dimensions=collect_dims)
     result = RelationshipSet()
     for _, start, stop in enumerate_unit_ranges(len(state["pairs"]), unit_size):
@@ -134,11 +138,11 @@ def test_pair_block_chunk_and_tile_invariance(space, chunk, tile_pairs):
 @settings(max_examples=15, deadline=None)
 def test_incremental_kernel_matches_python(space, split_at):
     """Incremental runs from a random split — seeded from either the
-    baseline or cubeMasking — equal the baseline of the whole space."""
+    baseline or cubeMasking — equal the oracle of the whole space."""
     n = len(space)
     if n < 2:
         return
-    expected = compute_baseline(space, collect_partial_dimensions=True)
+    expected = oracle(space)
     split = min(split_at, n - 1)
     arrivals = [
         (r.uri, r.dataset, dict(zip(space.dimensions, r.codes)), r.measures)

@@ -30,6 +30,23 @@ class TestGenerate:
         graph = parse_ntriples(path.read_text())
         assert len(graph) > 50
 
+    def test_synthetic_roundtrips_through_compute(self, tmp_path):
+        from repro.core.cubemask import compute_cubemask
+        from repro.data.synthetic import build_synthetic_space
+        from repro.store import load_relationships
+
+        corpus, links = tmp_path / "synthetic.ttl", tmp_path / "links.json"
+        assert main(["generate", "--kind", "synthetic", "--n", "200", "--dimensions", "4",
+                     "--seed", "3", "--output", str(corpus)]) == 0
+        assert main(["compute", "--input", str(corpus), "--method", "cube_masking",
+                     "--json-output", str(links)]) == 0
+        loaded = load_relationships(links)
+        expected = compute_cubemask(build_synthetic_space(200, dimension_count=4, seed=3))
+        assert expected.full and expected.partial and expected.complementary
+        assert loaded.full == expected.full
+        assert loaded.partial == expected.partial
+        assert loaded.complementary == expected.complementary
+
     def test_stdout_output(self, capsys):
         code = main(["generate", "--kind", "realworld", "--scale", "0.0005"])
         assert code == 0
