@@ -6,7 +6,8 @@ cost of fitting clusters on more (or less) of the data.
 
 import pytest
 
-from repro.core import compute_baseline, compute_clustering
+from repro.core import compute_baseline
+from repro.paper.cluster_method import compute_clustering
 
 RATES = (0.05, 0.1, 0.25, 1.0)
 N = 400

@@ -7,10 +7,10 @@ Virtuoso-style optimiser.
 
 import pytest
 
-from repro.core.export import space_to_graph
-from repro.core.sparql_method import FAITHFUL_QUERIES
-from repro.sparql import parse_query
-from repro.sparql.evaluator import select
+from repro.paper.export import space_to_graph
+from repro.paper.sparql_method import FAITHFUL_QUERIES
+from repro.paper.sparql import parse_query
+from repro.paper.sparql.evaluator import select
 
 SIZES = (25, 50)
 

@@ -7,12 +7,9 @@ workload, recording recall in ``extra_info``.
 
 import pytest
 
-from repro.core import (
-    compute_baseline,
-    compute_clustering,
-    compute_cubemask,
-    compute_hybrid,
-)
+from repro.core import compute_baseline, compute_cubemask
+from repro.paper.cluster_method import compute_clustering
+from repro.paper.hybrid import compute_hybrid
 
 SIZES = (200, 400)
 

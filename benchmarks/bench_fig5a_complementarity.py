@@ -8,13 +8,10 @@ time out / run out of memory beyond ~20k observations).
 
 import pytest
 
-from repro.core import (
-    compute_baseline,
-    compute_clustering,
-    compute_cubemask,
-    compute_rules,
-    compute_sparql,
-)
+from repro.core import compute_baseline, compute_cubemask
+from repro.paper.cluster_method import compute_clustering
+from repro.paper.rules_method import compute_rules
+from repro.paper.sparql_method import compute_sparql
 
 from workload import COMPARATOR_SIZES, REALWORLD_SIZES, RULES_SIZES
 

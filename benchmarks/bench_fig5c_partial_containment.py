@@ -8,13 +8,10 @@ partial containment without quantifying it.
 
 import pytest
 
-from repro.core import (
-    compute_baseline,
-    compute_clustering,
-    compute_cubemask,
-    compute_rules,
-    compute_sparql,
-)
+from repro.core import compute_baseline, compute_cubemask
+from repro.paper.cluster_method import compute_clustering
+from repro.paper.rules_method import compute_rules
+from repro.paper.sparql_method import compute_sparql
 
 from workload import PARTIAL_SIZES, RULES_SIZES
 

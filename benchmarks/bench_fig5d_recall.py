@@ -8,7 +8,8 @@ hierarchical clustering; recall declines with input size.
 
 import pytest
 
-from repro.core import compute_baseline, compute_clustering
+from repro.core import compute_baseline
+from repro.paper.cluster_method import compute_clustering
 
 from workload import REALWORLD_SIZES
 

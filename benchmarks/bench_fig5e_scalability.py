@@ -8,7 +8,8 @@ cubeMasking clearly below the baseline.
 
 import pytest
 
-from repro.core import compute_baseline, compute_clustering, compute_cubemask
+from repro.core import compute_baseline, compute_cubemask
+from repro.paper.cluster_method import compute_clustering
 
 from workload import SYNTHETIC_SIZES
 

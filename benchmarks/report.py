@@ -17,14 +17,10 @@ import sys
 import time
 from pathlib import Path
 
-from repro.core import (
-    CubeLattice,
-    compute_baseline,
-    compute_clustering,
-    compute_cubemask,
-    compute_rules,
-    compute_sparql,
-)
+from repro.core import CubeLattice, compute_baseline, compute_cubemask
+from repro.paper.cluster_method import compute_clustering
+from repro.paper.rules_method import compute_rules
+from repro.paper.sparql_method import compute_sparql
 from repro.core.space import ObservationSpace
 from repro.data.realworld import REALWORLD_PROFILES, build_realworld_cubespace, standard_hierarchies
 from repro.data.synthetic import build_synthetic_space
@@ -139,7 +135,7 @@ def figure_5g(space: ObservationSpace, sizes) -> None:
 
 
 def ablations(space: ObservationSpace) -> None:
-    from repro.core import compute_hybrid
+    from repro.paper.hybrid import compute_hybrid
     from repro.core.matrix import OccurrenceMatrix
 
     header("Ablation: bit-matrix backend (OCM at n=400)")

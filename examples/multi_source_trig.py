@@ -14,8 +14,8 @@ from repro import Method, ObservationSpace, compute_relationships
 from repro.core.recommend import dataset_relatedness
 from repro.qb.loader import load_cubespace_dataset
 from repro.rdf import parse_trig
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 TRIG = """
 @prefix qb: <http://purl.org/linked-data/cube#> .

@@ -16,8 +16,8 @@ Run with::
 from repro import Method, compute_relationships, cubespace_to_graph, serialize_turtle
 from repro.core.olap import CubeNavigator
 from repro.data.example import EXNS, build_example_cubespace
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 
 def main() -> None:

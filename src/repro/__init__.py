@@ -4,8 +4,10 @@ A from-scratch reproduction of *"Efficient Computation of Containment
 and Complementarity in RDF Data Cubes"* (Meimaris, Papastefanatos,
 Vassiliadis, Anagnostopoulos — EDBT 2016), including every substrate
 the paper depends on: an RDF triple store with Turtle/N-Triples
-support, a SPARQL subset engine, a forward-chaining rule engine, the
-QB cube model, a LIMES-style alignment step and dataset generators.
+support, the QB cube model and dataset generators.  The paper's
+comparators (clustering, hybrid, SPARQL and rule-based) and the SPARQL
+and rule engines they run on live in :mod:`repro.paper`, which nothing
+here imports until one of those methods is asked for.
 
 Quickstart::
 
@@ -19,7 +21,6 @@ Quickstart::
 
 from repro.core import (
     CubeLattice,
-    CubeNavigator,
     Fault,
     FaultPlan,
     MaterializationRunner,
@@ -31,20 +32,10 @@ from repro.core import (
     RelationshipSet,
     compute_baseline,
     compute_baseline_streaming,
-    compute_clustering,
     compute_cubemask,
-    compute_hybrid,
     compute_relationships,
-    compute_rules,
-    compute_sparql,
-    dataset_relatedness,
-    k_dominant_skyline,
-    recommend_observations,
     remove_observations,
-    rollup_dataset,
     run_materialization,
-    skyline,
-    skyline_from_relationships,
     update_relationships,
 )
 from repro.errors import (
@@ -94,11 +85,7 @@ __all__ = [
     "remove_observations",
     "compute_baseline",
     "compute_baseline_streaming",
-    "compute_clustering",
     "compute_cubemask",
-    "compute_hybrid",
-    "compute_sparql",
-    "compute_rules",
     # core types
     "ObservationSpace",
     "OccurrenceMatrix",
@@ -106,14 +93,6 @@ __all__ = [
     "RelationshipSet",
     "RelationshipDelta",
     "Recall",
-    # applications
-    "skyline",
-    "k_dominant_skyline",
-    "skyline_from_relationships",
-    "CubeNavigator",
-    "rollup_dataset",
-    "recommend_observations",
-    "dataset_relatedness",
     # cube model
     "CubeSpace",
     "Dataset",

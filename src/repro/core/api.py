@@ -18,17 +18,14 @@ feeding just those rows to the one cubeMasking executor of
 
 from __future__ import annotations
 
+import importlib
+import inspect
 from enum import Enum
 from typing import Iterable, Mapping
 
 from repro.errors import AlgorithmError
-from repro.core.baseline import compute_baseline
-from repro.core.cluster_method import compute_clustering
-from repro.core.cubemask import compute_cubemask
 from repro.core.results import RelationshipDelta, RelationshipSet, canonical
-from repro.core.rules_method import compute_rules
 from repro.core.space import ObservationSpace
-from repro.core.sparql_method import compute_sparql
 from repro.qb.model import CubeSpace
 from repro.rdf.terms import URIRef
 
@@ -52,19 +49,33 @@ class Method(str, Enum):
     HYBRID = "hybrid"
 
 
-def _dispatch_table():
-    from repro.core.hybrid import compute_hybrid
-    from repro.core.streaming import compute_baseline_streaming
+#: Each method's implementation as ``(module, function)``.  The module
+#: is imported on first use, so the comparators in :mod:`repro.paper`
+#: load only when their method runs.
+_IMPLEMENTATIONS = {
+    Method.BASELINE: ("repro.core.baseline", "compute_baseline"),
+    Method.CLUSTERING: ("repro.paper.cluster_method", "compute_clustering"),
+    Method.CUBE_MASKING: ("repro.core.cubemask", "compute_cubemask"),
+    Method.SPARQL: ("repro.paper.sparql_method", "compute_sparql"),
+    Method.RULES: ("repro.paper.rules_method", "compute_rules"),
+    Method.STREAMING: ("repro.core.streaming", "compute_baseline_streaming"),
+    Method.HYBRID: ("repro.paper.hybrid", "compute_hybrid"),
+}
 
-    return {
-        Method.BASELINE: compute_baseline,
-        Method.CLUSTERING: compute_clustering,
-        Method.CUBE_MASKING: compute_cubemask,
-        Method.SPARQL: compute_sparql,
-        Method.RULES: compute_rules,
-        Method.STREAMING: compute_baseline_streaming,
-        Method.HYBRID: compute_hybrid,
-    }
+
+def _checked(method: Method, implementation, options: Mapping):
+    """Return ``implementation`` once it takes every name in ``options``."""
+    accepted = list(inspect.signature(implementation).parameters)[1:]
+    unknown = sorted(set(options) - set(accepted))
+    if unknown:
+        raise AlgorithmError(f"options not supported by the {method.value} method: {unknown}")
+    return implementation
+
+
+def _implementation(method: Method, options: Mapping):
+    """Import ``method``'s implementation and check ``options`` against it."""
+    module, name = _IMPLEMENTATIONS[method]
+    return _checked(method, getattr(importlib.import_module(module), name), options)
 
 
 def _as_space(data: CubeSpace | ObservationSpace) -> ObservationSpace:
@@ -100,7 +111,10 @@ def compute_relationships(
     ``options`` are forwarded to the method implementation (for example
     ``backend=`` for the baseline, ``algorithm=`` / ``sample_rate=`` for
     clustering, ``prefetch_children=`` for cube masking,
-    ``mode=`` for the SPARQL and rule comparators).
+    ``mode=`` for the SPARQL and rule comparators).  An option the
+    chosen method does not take raises
+    :class:`~repro.errors.AlgorithmError` naming the method and the
+    option.
 
     Passing any resilience option — ``checkpoint=``, ``resume=``,
     ``unit_size=``, ``max_retries=``, ``retry_backoff=``,
@@ -125,8 +139,10 @@ def compute_relationships(
     ):
         from repro.core.parallel import compute_cubemask_parallel
 
-        return compute_cubemask_parallel(space, **options)
-    return _dispatch_table()[resolved](space, **options)
+        implementation = _checked(resolved, compute_cubemask_parallel, options)
+    else:
+        implementation = _implementation(resolved, options)
+    return implementation(space, **options)
 
 
 def update_relationships(

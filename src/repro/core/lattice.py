@@ -5,7 +5,9 @@ dimension values (node ``"210"`` = level 2 on refArea, 1 on refPeriod,
 0 on sex).  The lattice orders cubes by pointwise level dominance:
 cube A *may* contain cube B only if ``level_A[i] <= level_B[i]`` for
 every dimension — a necessary condition for instance-level containment
-that Algorithm 4 uses to prune observation comparisons.
+that Algorithm 4 uses to prune observation comparisons.  The
+admissible cube pairs themselves are enumerated once, vectorised, by
+the cubeMasking planner (:func:`repro.core.cubemask._enumerate_pairs`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,6 @@ Signature = tuple[int, ...]
 def dominates(a: Signature, b: Signature) -> bool:
     """True when cube ``a`` may contain cube ``b`` (pointwise ``<=``)."""
     return all(la <= lb for la, lb in zip(a, b))
-
-
-def partially_dominates(a: Signature, b: Signature) -> bool:
-    """True when at least one dimension admits containment (``∃ <=``)."""
-    return any(la <= lb for la, lb in zip(a, b))
 
 
 class CubeLattice:
@@ -68,40 +65,6 @@ class CubeLattice:
         if not self.space.observations:
             return 0.0
         return len(self.nodes) / len(self.space)
-
-    # ------------------------------------------------------------------
-    def containment_pairs(self) -> Iterator[tuple[Signature, Signature]]:
-        """Cube pairs ``(a, b)`` where a may contain b, computed on the fly.
-
-        Includes ``a == b`` (a cube always dominates itself); the
-        observation-level checks filter self-pairs.
-        """
-        cubes = list(self.nodes)
-        for a in cubes:
-            for b in cubes:
-                if dominates(a, b):
-                    yield (a, b)
-
-    def children_index(self) -> dict[Signature, list[Signature]]:
-        """Pre-fetched map cube -> dominated cubes (the paper's
-        children-prefetching optimisation, Figure 5(g))."""
-        cubes = list(self.nodes)
-        index: dict[Signature, list[Signature]] = {cube: [] for cube in cubes}
-        for a in cubes:
-            children = index[a]
-            for b in cubes:
-                if dominates(a, b):
-                    children.append(b)
-        return index
-
-    def partial_pairs(self) -> Iterator[tuple[Signature, Signature]]:
-        """Cube pairs with at least one dominating dimension (partial
-        containment candidates)."""
-        cubes = list(self.nodes)
-        for a in cubes:
-            for b in cubes:
-                if partially_dominates(a, b):
-                    yield (a, b)
 
     # ------------------------------------------------------------------
     # Figure 4 structure: the *full* lattice of level combinations.

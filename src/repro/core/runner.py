@@ -558,7 +558,7 @@ class MaterializationRunner:
         import numpy as np
 
         from repro.core.baseline import compute_baseline, normalize_targets
-        from repro.core.cluster_method import cluster_labels
+        from repro.paper.cluster_method import cluster_labels
 
         options = dict(self.options)
         fit = {
@@ -650,12 +650,12 @@ class MaterializationRunner:
         )
 
     def _plan_single(self, space: ObservationSpace) -> _UnitPlan:
+        from repro.core.api import _implementation
+
         options = dict(self.options)
+        implementation = _implementation(self.method, options)
 
         def execute(unit_id: str) -> RelationshipSet:
-            from repro.core.api import _dispatch_table
-
-            implementation = _dispatch_table()[self.method]
             return implementation(space, **options)
 
         return _UnitPlan(

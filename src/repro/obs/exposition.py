@@ -16,9 +16,6 @@ format the repro service emits, used four ways:
       python -m repro.obs.exposition metrics.txt \
           --require repro_build_info --min-series 15
 
-  (``tests/exposition.py`` remains a thin shim so the historical
-  ``python tests/exposition.py`` invocation keeps working.)
-
 The validator enforces the rules Prometheus itself enforces on ingest:
 every sample is announced by a ``# TYPE`` line, no series (name plus
 label set) appears twice in one scrape, histogram bucket counts are

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import AlgorithmError
 from repro.core.baseline import compute_baseline
-from repro.core.clustering import (
+from repro.paper.clustering import (
     CanopyClustering,
     HierarchicalClustering,
     KMeans,

@@ -12,10 +12,10 @@ algorithm here exposes the same two-step interface::
 every observation's feature vector (binary occurrence-matrix rows).
 """
 
-from repro.core.clustering.canopy import CanopyClustering
-from repro.core.clustering.hierarchical import HierarchicalClustering
-from repro.core.clustering.kmeans import KMeans, assign_to_centroids
-from repro.core.clustering.xmeans import XMeans
+from repro.paper.clustering.canopy import CanopyClustering
+from repro.paper.clustering.hierarchical import HierarchicalClustering
+from repro.paper.clustering.kmeans import KMeans, assign_to_centroids
+from repro.paper.clustering.xmeans import XMeans
 
 __all__ = [
     "KMeans",

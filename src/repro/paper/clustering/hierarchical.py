@@ -12,7 +12,7 @@ import heapq
 import numpy as np
 
 from repro.errors import AlgorithmError
-from repro.core.clustering.kmeans import assign_to_centroids
+from repro.paper.clustering.kmeans import assign_to_centroids
 
 __all__ = ["HierarchicalClustering"]
 

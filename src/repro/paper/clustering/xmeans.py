@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.clustering.kmeans import KMeans, assign_to_centroids
+from repro.paper.clustering.kmeans import KMeans, assign_to_centroids
 
 __all__ = ["XMeans"]
 

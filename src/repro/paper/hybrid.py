@@ -18,7 +18,7 @@ three relationship types are needed.
 
 from __future__ import annotations
 
-from repro.core.cluster_method import AlgorithmName, compute_clustering
+from repro.paper.cluster_method import AlgorithmName, compute_clustering
 from repro.core.cubemask import compute_cubemask
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace

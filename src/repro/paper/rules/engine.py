@@ -18,8 +18,8 @@ from typing import Iterator
 from repro.errors import RuleEvaluationError
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, Literal, Term, Triple, URIRef
-from repro.rules.ast import Atom, BuiltinCall, Rule, RuleVar
-from repro.rules.builtins import BUILTINS
+from repro.paper.rules.ast import Atom, BuiltinCall, Rule, RuleVar
+from repro.paper.rules.builtins import BUILTINS
 
 __all__ = ["RuleEngine"]
 
@@ -38,7 +38,7 @@ class RuleEngine:
     Parameters
     ----------
     rules:
-        The rules to apply, e.g. from :func:`repro.rules.parse_rules`.
+        The rules to apply, e.g. from :func:`repro.paper.rules.parse_rules`.
     max_iterations:
         Safety bound on fixpoint iterations (the closure of a finite
         graph always terminates, but a bound keeps pathological rule

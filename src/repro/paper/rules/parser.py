@@ -21,7 +21,7 @@ import re
 from repro.errors import RuleSyntaxError
 from repro.rdf.namespaces import PREFIXES, RDF, XSD
 from repro.rdf.terms import Literal, Term, URIRef, unescape_string
-from repro.rules.ast import Atom, BuiltinCall, Rule, RuleElement, RuleVar
+from repro.paper.rules.ast import Atom, BuiltinCall, Rule, RuleElement, RuleVar
 
 __all__ = ["parse_rules"]
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 from typing import Literal as TypingLiteral
 
 from repro.errors import AlgorithmError
-from repro.core.export import space_to_graph
+from repro.paper.export import space_to_graph
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
 from repro.rdf.namespaces import CCREL
 from repro.rdf.terms import URIRef
-from repro.rules import RuleEngine, parse_rules
+from repro.paper.rules import RuleEngine, parse_rules
 
 __all__ = ["compute_rules", "build_rule_program"]
 

@@ -18,12 +18,12 @@ need, plus the analytics features a cube workload uses:
 Usage::
 
     from repro.rdf import parse_turtle
-    from repro.sparql import query
+    from repro.paper.sparql import query
 
     rows = query(graph, "SELECT ?s WHERE { ?s a qb:Observation }")
 """
 
-from repro.sparql.evaluator import query, select
-from repro.sparql.parser import parse_query
+from repro.paper.sparql.evaluator import query, select
+from repro.paper.sparql.parser import parse_query
 
 __all__ = ["query", "select", "parse_query"]

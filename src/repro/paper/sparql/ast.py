@@ -1,7 +1,7 @@
 """Abstract syntax tree for the SPARQL subset.
 
 The node classes are plain immutable dataclasses; evaluation logic lives
-in :mod:`repro.sparql.evaluator`.
+in :mod:`repro.paper.sparql.evaluator`.
 """
 
 from __future__ import annotations

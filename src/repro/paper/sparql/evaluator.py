@@ -18,7 +18,7 @@ from repro.errors import SPARQLEvaluationError
 from repro.rdf.dataset import RDFDataset
 from repro.rdf.graph import Graph
 from repro.rdf.terms import BNode, Literal, Term, URIRef
-from repro.sparql.ast import (
+from repro.paper.sparql.ast import (
     Aggregate,
     AskQuery,
     BinaryExpr,
@@ -51,8 +51,8 @@ from repro.sparql.ast import (
     Var,
     VarExpr,
 )
-from repro.sparql.functions import FALSE, TRUE, EvalError, call_builtin, compare_terms, ebv, numeric_value
-from repro.sparql.parser import parse_query
+from repro.paper.sparql.functions import FALSE, TRUE, EvalError, call_builtin, compare_terms, ebv, numeric_value
+from repro.paper.sparql.parser import parse_query
 
 __all__ = ["query", "select", "evaluate_group", "Solution"]
 
@@ -680,7 +680,7 @@ class _Reversed:
 def _maybe_optimize(graph: Graph, group: GroupPattern, optimize: bool) -> GroupPattern:
     if not optimize:
         return group
-    from repro.sparql.optimizer import optimize_group
+    from repro.paper.sparql.optimizer import optimize_group
 
     return optimize_group(graph, group)
 

@@ -14,7 +14,7 @@ connected.  This module implements the classic greedy strategy:
 Only *consecutive runs of triple patterns* are reordered; filters and
 other elements keep their positions, so FILTER/OPTIONAL semantics are
 untouched.  The evaluator applies this by default; pass
-``optimize=False`` to :func:`repro.sparql.evaluator.select` /
+``optimize=False`` to :func:`repro.paper.sparql.evaluator.select` /
 ``query`` to keep the textual order (the benchmarks use that to show
 what the naive order costs).
 """
@@ -22,7 +22,7 @@ what the naive order costs).
 from __future__ import annotations
 
 from repro.rdf.graph import Graph
-from repro.sparql.ast import (
+from repro.paper.sparql.ast import (
     GroupPattern,
     PathAlternative,
     PathInverse,
@@ -125,7 +125,7 @@ def optimize_group(graph: Graph, group: GroupPattern, bound: set[Var] | None = N
     Nested groups (OPTIONAL/UNION/EXISTS bodies) are optimised with the
     variables of the enclosing patterns assumed bound.
     """
-    from repro.sparql.ast import Exists, Filter, OptionalPattern, UnionPattern
+    from repro.paper.sparql.ast import Exists, Filter, OptionalPattern, UnionPattern
 
     bound = set(bound or ())
     elements: list[object] = []

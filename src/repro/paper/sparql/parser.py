@@ -29,7 +29,7 @@ from __future__ import annotations
 from repro.errors import SPARQLSyntaxError
 from repro.rdf.namespaces import PREFIXES, RDF, XSD
 from repro.rdf.terms import BNode, Literal, Term, URIRef, unescape_string
-from repro.sparql.ast import (
+from repro.paper.sparql.ast import (
     Aggregate,
     AskQuery,
     BinaryExpr,
@@ -62,7 +62,7 @@ from repro.sparql.ast import (
     Var,
     VarExpr,
 )
-from repro.sparql.tokenizer import Token, tokenize
+from repro.paper.sparql.tokenizer import Token, tokenize
 
 __all__ = ["parse_query"]
 

@@ -11,7 +11,7 @@ Two modes:
   ``broader/broader*`` path; no measure-overlap condition).
 
 Both run against the padded export of the observation space on the
-engine in :mod:`repro.sparql` — reproducing the blow-up that makes this
+engine in :mod:`repro.paper.sparql` — reproducing the blow-up that makes this
 approach uncompetitive in Figure 5.
 """
 
@@ -20,13 +20,13 @@ from __future__ import annotations
 from typing import Literal as TypingLiteral
 
 from repro.errors import AlgorithmError
-from repro.core.export import space_to_graph
+from repro.paper.export import space_to_graph
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
 from repro.rdf.graph import Graph
 from repro.rdf.terms import URIRef
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 __all__ = ["compute_sparql", "FAITHFUL_QUERIES", "PAPER_QUERIES"]
 

@@ -11,12 +11,12 @@ import pytest
 
 from repro.cluster import ClusterManifest, Router, build_shard_engine, start_router
 from repro.core import compute_baseline
+from repro.obs.exposition import parse_exposition, validate
 from repro.obs.spanstore import assemble_trace, render_trace
 from repro.service import QueryEngine, start_server
 from repro.storage import SegmentStore, save_segments
 
 from tests.conftest import make_random_space
-from tests.exposition import parse_exposition, validate
 
 SHARDS = 2
 REPLICAS = 2

@@ -46,6 +46,22 @@ class TestFacade:
             compute_relationships([1, 2, 3])  # type: ignore[arg-type]
 
     @pytest.mark.parametrize(
+        "method", [Method.BASELINE, Method.STREAMING, Method.CLUSTERING, Method.HYBRID]
+    )
+    @pytest.mark.parametrize(
+        "option", [{"workers": 2}, {"parallel": True}, {"kernel": "numpy"}], ids=lambda o: next(iter(o))
+    )
+    def test_option_the_method_does_not_take_is_typed(self, method, option):
+        space = build_example_space()
+        with pytest.raises(AlgorithmError, match=f"{method.value}.*{next(iter(option))}"):
+            compute_relationships(space, method, **option)
+
+    def test_runner_rejects_option_the_method_does_not_take(self):
+        space = build_example_space()
+        with pytest.raises(AlgorithmError, match="hybrid.*workers"):
+            compute_relationships(space, Method.HYBRID, unit_size=5, workers=2)
+
+    @pytest.mark.parametrize(
         "method", [Method.BASELINE, Method.CUBE_MASKING, Method.SPARQL, Method.RULES]
     )
     def test_lossless_methods_agree(self, method):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import AlgorithmError
 from repro.core.baseline import compute_baseline
-from repro.core.cluster_method import compute_clustering, default_cluster_count, feature_matrix
+from repro.paper.cluster_method import compute_clustering, default_cluster_count, feature_matrix
 from repro.core.space import ObservationSpace
 from repro.qb.hierarchy import Hierarchy
 from repro.rdf import EX

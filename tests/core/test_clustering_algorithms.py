@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from repro.errors import AlgorithmError
-from repro.core.clustering import (
+from repro.paper.clustering import (
     CanopyClustering,
     HierarchicalClustering,
     KMeans,
     XMeans,
     assign_to_centroids,
 )
-from repro.core.clustering.canopy import jaccard_distances
-from repro.core.clustering.kmeans import pairwise_sq_distances
+from repro.paper.clustering.canopy import jaccard_distances
+from repro.paper.clustering.kmeans import pairwise_sq_distances
 
 
 def two_blobs(n_per_blob: int = 20, seed: int = 0) -> np.ndarray:

@@ -4,13 +4,13 @@ import pytest
 
 from repro.errors import AlgorithmError
 from repro.core.baseline import compute_baseline
-from repro.core.export import space_to_graph
-from repro.core.rules_method import build_rule_program, compute_rules
-from repro.core.sparql_method import FAITHFUL_QUERIES, PAPER_QUERIES, compute_sparql
+from repro.paper.export import space_to_graph
+from repro.paper.rules_method import build_rule_program, compute_rules
+from repro.paper.sparql_method import FAITHFUL_QUERIES, PAPER_QUERIES, compute_sparql
 from repro.data.example import build_example_space
 from repro.rdf.namespaces import QB, RDF, SKOS
-from repro.rules import parse_rules
-from repro.sparql import parse_query
+from repro.paper.rules import parse_rules
+from repro.paper.sparql import parse_query
 
 from tests.conftest import make_random_space
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.export import space_to_graph
+from repro.paper.export import space_to_graph
 from repro.core.space import ObservationSpace
 from repro.qb.hierarchy import Hierarchy
 from repro.rdf import EX, QB, RDF, SKOS

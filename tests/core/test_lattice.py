@@ -1,8 +1,10 @@
 """Unit tests for the cube lattice (Section 3.3, Figure 4)."""
 
+import numpy as np
 import pytest
 
-from repro.core.lattice import CubeLattice, dominates, partially_dominates
+from repro.core.cubemask import _enumerate_pairs
+from repro.core.lattice import CubeLattice, dominates
 from repro.core.space import ObservationSpace
 from repro.data.example import EXNS, build_example_space
 from repro.qb.hierarchy import Hierarchy
@@ -48,6 +50,12 @@ class TestSignatures:
         assert lattice.cube_ratio == 0.0
 
 
+def enumerated_pairs(cubes, want_partial: bool) -> set[tuple[int, int]]:
+    """The planner's admissible cube pairs, as index pairs into ``cubes``."""
+    signatures = np.asarray(cubes, dtype=np.int16).reshape(len(cubes), -1)
+    return {tuple(pair) for pair in _enumerate_pairs(signatures, want_partial).tolist()}
+
+
 class TestDominance:
     def test_dominates_pointwise(self):
         assert dominates((1, 0), (2, 1))
@@ -55,32 +63,32 @@ class TestDominance:
         assert not dominates((2, 0), (1, 1))
 
     def test_partial_dominance(self):
-        assert partially_dominates((2, 0), (1, 1))  # second dim admits
-        assert not partially_dominates((2, 2), (1, 1))
+        # Only the second dimension admits (2,0) -> (1,1); nothing admits (2,2) -> (1,1).
+        assert (0, 1) in enumerated_pairs([(2, 0), (1, 1)], want_partial=True)
+        assert (0, 1) not in enumerated_pairs([(2, 2), (1, 1)], want_partial=True)
 
     def test_containment_pairs_include_self(self, example):
-        lattice = CubeLattice(example)
-        pairs = set(lattice.containment_pairs())
-        for cube in lattice:
-            assert (cube, cube) in pairs
+        cubes = sorted(CubeLattice(example))
+        pairs = enumerated_pairs(cubes, want_partial=False)
+        for index in range(len(cubes)):
+            assert (index, index) in pairs
 
     def test_containment_pairs_sound(self, example):
-        lattice = CubeLattice(example)
-        for a, b in lattice.containment_pairs():
-            assert dominates(a, b)
+        cubes = sorted(CubeLattice(example))
+        for a, b in enumerated_pairs(cubes, want_partial=False):
+            assert dominates(cubes[a], cubes[b])
 
-    def test_children_index_matches_pairs(self, example):
-        lattice = CubeLattice(example)
-        from_pairs = {}
-        for a, b in lattice.containment_pairs():
-            from_pairs.setdefault(a, set()).add(b)
-        index = lattice.children_index()
-        assert {k: set(v) for k, v in index.items()} == from_pairs
+    def test_containment_pairs_complete(self, example):
+        cubes = sorted(CubeLattice(example))
+        pairs = enumerated_pairs(cubes, want_partial=False)
+        for a, cube_a in enumerate(cubes):
+            for b, cube_b in enumerate(cubes):
+                assert ((a, b) in pairs) == dominates(cube_a, cube_b)
 
     def test_partial_pairs_superset_of_containment_pairs(self, example):
-        lattice = CubeLattice(example)
-        containment = set(lattice.containment_pairs())
-        partial = set(lattice.partial_pairs())
+        cubes = sorted(CubeLattice(example))
+        containment = enumerated_pairs(cubes, want_partial=False)
+        partial = enumerated_pairs(cubes, want_partial=True)
         assert containment <= partial
 
     def test_dominance_necessary_for_instance_containment(self, example):

@@ -16,11 +16,11 @@ from repro.core import (
     Method,
     compute_baseline,
     compute_baseline_streaming,
-    compute_clustering,
     compute_cubemask,
     compute_relationships,
     run_materialization,
 )
+from repro.paper.cluster_method import compute_clustering
 from repro.resilience.faults import Fault, FaultPlan, InjectedFault, truncate_file
 from repro.core.parallel import compute_cubemask_parallel
 from repro.core.runner import Checkpoint, MaterializationRunner, space_fingerprint
@@ -96,7 +96,7 @@ class TestCleanRuns:
         small = make_random_space(40, seed=9)
         ckpt = tmp_path / "hybrid.jsonl"
         result = compute_relationships(small, Method.HYBRID, checkpoint=str(ckpt))
-        from repro.core import compute_hybrid
+        from repro.paper.hybrid import compute_hybrid
 
         assert result == compute_hybrid(small)
         resumed = compute_relationships(

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import AlgorithmError
-from repro.core import compute_baseline, remove_observations, rollup_dataset
+from repro.core import compute_baseline, remove_observations
+from repro.core.olap import rollup_dataset
 from repro.core.space import ObservationSpace
 from repro.data.example import EXNS, build_example_cubespace
 from repro.qb import CubeSpace, Dataset, DatasetSchema, Hierarchy, Observation

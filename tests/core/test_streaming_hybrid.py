@@ -3,14 +3,9 @@
 import pytest
 
 from repro.errors import AlgorithmError
-from repro.core import (
-    Method,
-    compute_baseline,
-    compute_baseline_streaming,
-    compute_clustering,
-    compute_hybrid,
-    compute_relationships,
-)
+from repro.core import Method, compute_baseline, compute_baseline_streaming, compute_relationships
+from repro.paper.cluster_method import compute_clustering
+from repro.paper.hybrid import compute_hybrid
 from repro.data.example import build_example_space
 
 from tests.conftest import make_random_space

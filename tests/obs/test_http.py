@@ -7,10 +7,10 @@ import urllib.request
 import pytest
 
 from repro.core import compute_baseline
+from repro.obs.exposition import parse_exposition, validate
 from repro.service import QueryEngine, start_server
 
 from tests.conftest import make_random_space
-from tests.exposition import parse_exposition, validate
 
 
 @pytest.fixture(scope="module")

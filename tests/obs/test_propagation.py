@@ -3,10 +3,10 @@ exposition validator's command-line entry point."""
 
 from repro.core.cubemask import build_cubemask_state
 from repro.core.parallel import prepare_shared_fanout
+from repro.obs.exposition import main as exposition_main
 from repro.obs.tracing import bind_trace, trace
 
 from tests.conftest import make_random_space
-from tests.exposition import main as exposition_main
 
 
 class TestWorkerPropagation:

@@ -5,14 +5,13 @@ import threading
 
 import pytest
 
+from repro.obs.exposition import parse_exposition, validate
 from repro.obs.registry import (
     MetricsRegistry,
     escape_label_value,
     format_value,
     get_registry,
 )
-
-from tests.exposition import parse_exposition, validate
 
 
 @pytest.fixture()

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from repro.core import compute_baseline, compute_baseline_streaming, remove_observations, update_relationships
 from repro.rdf.graph import Graph
 from repro.rdf.terms import Literal, URIRef
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 from repro.store import dumps_relationships, loads_relationships
 
 from tests.property.strategies import observation_spaces

@@ -1,12 +1,14 @@
 """Property-based equivalence: every compute path vs the oracle.
 
 Hypothesis drives random spaces (random hierarchies, missing
-dimensions, 0..N observations) through the baseline, the sequential
-cubeMasking path, the runner's ``score_range`` units and the
-incremental path, asserting ``RelationshipSet``s identical to the
-executable oracle (:mod:`tests.oracle`, a double loop over the
-reference predicates) — including degrees and partial-dimension maps —
-and path-independent pruning statistics.
+dimensions, 0..N observations) through the baseline, the streaming
+baseline, the sequential cubeMasking path, the runner's
+``score_range`` units and the incremental path, asserting
+``RelationshipSet``s identical to the executable oracle
+(:mod:`tests.oracle`, a double loop over the reference predicates) —
+including degrees and partial-dimension maps — and path-independent
+pruning statistics.  The lossy clustering and hybrid methods are held
+to a subset of the oracle, exact on every pair they emit.
 Chunk/tile boundaries are swept explicitly: a block split at every
 possible boundary must produce the same partial results and dimension
 masks as one monolithic evaluation.
@@ -16,11 +18,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import compute_baseline, compute_cubemask, update_relationships
+from repro.core import (
+    compute_baseline,
+    compute_baseline_streaming,
+    compute_cubemask,
+    update_relationships,
+)
 from repro.core.cubemask import STAT_KEYS, build_cubemask_state, score_range
 from repro.core.kernels import build_kernel_plan, evaluate_pair_block
 from repro.core.parallel import enumerate_unit_ranges
 from repro.core.results import RelationshipSet
+from repro.paper.cluster_method import compute_clustering
+from repro.paper.hybrid import compute_hybrid
 
 from tests.oracle import oracle
 from tests.property.strategies import observation_spaces
@@ -66,6 +75,47 @@ def test_kernel_matches_python_and_baseline(space, prefetch, collect_dims):
         for key in STAT_KEYS:
             if key != "kernel_ns":
                 assert auto_stats[key] == expected[key], key
+
+
+@given(observation_spaces(max_observations=18), st.sampled_from([1, 2, 5, 256]), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_streaming_matches_oracle(space, block_size, collect_dims):
+    """The memory-bounded baseline equals the oracle at every block
+    size, one-row blocks included."""
+    expected = oracle(space)
+    result = compute_baseline_streaming(
+        space, block_size=block_size, collect_partial_dimensions=collect_dims
+    )
+    assert result == expected
+    assert result.degrees == expected.degrees
+    if collect_dims:
+        assert result.partial_map == expected.partial_map
+
+
+@given(
+    observation_spaces(max_observations=18),
+    st.sampled_from(["kmeans", "xmeans", "canopy", "hierarchical"]),
+    st.sampled_from([None, 1, 2, 3]),
+    st.integers(min_value=0, max_value=3),
+)
+@settings(max_examples=20, deadline=None)
+def test_lossy_methods_emit_subset_of_oracle(space, algorithm, n_clusters, seed):
+    """Clustering and hybrid lose recall only: every pair they emit is
+    in the oracle with the oracle's degree and ``map_P``, and hybrid's
+    cubeMasking half is exact on S_F and S_C."""
+    expected = oracle(space)
+    fit = {"algorithm": algorithm, "n_clusters": n_clusters, "seed": seed, "sample_rate": 0.5}
+    clustered = compute_clustering(space, collect_partial_dimensions=True, **fit)
+    hybrid = compute_hybrid(space, collect_partial_dimensions=True, **fit)
+    for result in (clustered, hybrid):
+        assert result.full <= expected.full
+        assert result.partial <= expected.partial
+        assert result.complementary <= expected.complementary
+        for pair in result.partial:
+            assert result.degrees[pair] == expected.degrees[pair]
+            assert result.partial_map[pair] == expected.partial_map[pair]
+    assert hybrid.full == expected.full
+    assert hybrid.complementary == expected.complementary
 
 
 @given(

@@ -13,8 +13,8 @@ from repro.errors import ParseError, RuleSyntaxError, SPARQLError, TermError
 from repro.rdf.ntriples import parse_ntriples
 from repro.rdf.trig import parse_trig
 from repro.rdf.turtle import parse_turtle
-from repro.rules import parse_rules
-from repro.sparql import parse_query
+from repro.paper.rules import parse_rules
+from repro.paper.sparql import parse_query
 
 # A mix of plain unicode and syntax-adjacent fragments to hit deep paths.
 fragments = st.sampled_from(

@@ -13,7 +13,7 @@ These are the core guarantees of the paper's algorithms:
 from hypothesis import given, settings
 
 from repro.core.baseline import compute_baseline
-from repro.core.cluster_method import compute_clustering
+from repro.paper.cluster_method import compute_clustering
 from repro.core.cubemask import compute_cubemask
 from repro.core.skyline import skyline, skyline_from_relationships
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import URIRef
-from repro.rules import RuleEngine, parse_rules
+from repro.paper.rules import RuleEngine, parse_rules
 
 
 def node(i: int) -> URIRef:

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from repro.rdf.graph import Graph
 from repro.rdf.terms import URIRef
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 
 def node(i: int) -> URIRef:

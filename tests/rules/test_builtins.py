@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import RuleEvaluationError
 from repro.rdf import Literal, URIRef
-from repro.rules.builtins import BUILTINS, register_builtin
+from repro.paper.rules.builtins import BUILTINS, register_builtin
 
 
 class TestBuiltins:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import RuleEvaluationError
 from repro.rdf import EX, Graph, Literal, parse_turtle
 from repro.rdf.namespaces import SKOS
-from repro.rules import RuleEngine, parse_rules
+from repro.paper.rules import RuleEngine, parse_rules
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ import pytest
 from repro.errors import RuleSyntaxError
 from repro.rdf import RDF, URIRef
 from repro.rdf.terms import Literal
-from repro.rules import parse_rules
-from repro.rules.ast import Atom, BuiltinCall, RuleVar
+from repro.paper.rules import parse_rules
+from repro.paper.rules.ast import Atom, BuiltinCall, RuleVar
 
 
 class TestRuleParsing:

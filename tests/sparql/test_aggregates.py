@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import SPARQLEvaluationError
 from repro.rdf import Graph, parse_turtle
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import SPARQLSyntaxError
 from repro.rdf import EX, Graph, parse_turtle
-from repro.sparql import query
-from repro.sparql.parser import parse_query
+from repro.paper.sparql import query
+from repro.paper.sparql.parser import parse_query
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.rdf import EX, Graph, Literal, parse_turtle
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro.rdf import Literal, URIRef
 from repro.rdf.terms import BNode, XSD_BOOLEAN, XSD_INTEGER
-from repro.sparql.functions import (
+from repro.paper.sparql.functions import (
     EvalError,
     call_builtin,
     compare_terms,
@@ -142,8 +142,8 @@ class TestStringFunctions:
 
     def test_in_query(self):
         from repro.rdf import parse_turtle
-        from repro.sparql import query
-        from repro.sparql.ast import Var
+        from repro.paper.sparql import query
+        from repro.paper.sparql.ast import Var
 
         g = parse_turtle('@prefix ex: <http://example.org/> . ex:a ex:name "Athens" .')
         rows = query(

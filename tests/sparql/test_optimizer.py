@@ -3,9 +3,9 @@
 import pytest
 
 from repro.rdf import Graph, parse_turtle
-from repro.sparql import parse_query, query
-from repro.sparql.ast import Filter, GroupPattern, TriplePattern, Var
-from repro.sparql.optimizer import estimate_pattern, optimize_group
+from repro.paper.sparql import parse_query, query
+from repro.paper.sparql.ast import Filter, GroupPattern, TriplePattern, Var
+from repro.paper.sparql.optimizer import estimate_pattern, optimize_group
 
 
 @pytest.fixture

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SPARQLSyntaxError
 from repro.rdf import RDF, URIRef
-from repro.sparql.ast import (
+from repro.paper.sparql.ast import (
     AskQuery,
     BinaryExpr,
     Exists,
@@ -21,7 +21,7 @@ from repro.sparql.ast import (
     ValuesPattern,
     Var,
 )
-from repro.sparql.parser import parse_query
+from repro.paper.sparql.parser import parse_query
 
 
 class TestSelectClause:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SPARQLSyntaxError
-from repro.sparql.tokenizer import tokenize
+from repro.paper.sparql.tokenizer import tokenize
 
 
 def kinds(text):

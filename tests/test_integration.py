@@ -17,12 +17,12 @@ from repro import (
     relationships_to_graph,
     serialize_turtle,
 )
-from repro.core.sparql_method import compute_sparql
+from repro.paper.sparql_method import compute_sparql
 from repro.data.example import build_example_cubespace
 from repro.data.realworld import build_realworld_cubespace
 from repro.rdf import CCREL
-from repro.sparql import query
-from repro.sparql.ast import Var
+from repro.paper.sparql import query
+from repro.paper.sparql.ast import Var
 
 
 class TestFullPipeline:

@@ -6,6 +6,11 @@ the contract a downstream user codes against.
 """
 
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +19,11 @@ import repro.align
 import repro.core
 import repro.qb
 import repro.rdf
-import repro.rules
-import repro.sparql
+import repro.paper.rules
+import repro.paper.sparql
 
 
-PACKAGES = [repro, repro.rdf, repro.sparql, repro.rules, repro.qb, repro.align, repro.core]
+PACKAGES = [repro, repro.rdf, repro.paper.sparql, repro.paper.rules, repro.qb, repro.align, repro.core]
 
 
 @pytest.mark.parametrize("package", PACKAGES, ids=lambda p: p.__name__)
@@ -36,6 +41,40 @@ def test_public_callables_documented(package):
             if not (member.__doc__ or "").strip():
                 undocumented.append(name)
     assert not undocumented, f"undocumented public items in {package.__name__}: {undocumented}"
+
+
+#: Packages the serving core must not import: the paper's comparators
+#: and the application extras nothing on the batch, serve or ingest
+#: path runs.
+OFF_CORE = ("repro.paper", "repro.sparql", "repro.rules", "repro.align")
+
+BOUNDARY_PROBE = f"""
+import json, sys
+import repro, repro.cli, repro.service
+loaded = lambda: sorted(m for m in sys.modules if m.startswith({OFF_CORE!r}))
+at_import = loaded()
+from repro.data.example import build_example_space
+repro.compute_relationships(build_example_space(), method="sparql")
+print(json.dumps({{"at_import": at_import, "after_sparql": loaded()}}))
+"""
+
+
+def test_serving_core_imports_no_comparator():
+    """``repro``, ``repro.cli`` and ``repro.service`` load none of the
+    comparators; asking for the SPARQL method loads its engine then."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", BOUNDARY_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert modules["at_import"] == []
+    assert "repro.paper.sparql" in modules["after_sparql"]
+    assert "repro.paper.sparql_method" in modules["after_sparql"]
 
 
 def test_version_string():
