@@ -3,7 +3,9 @@
 Hypothesis drives random spaces (random hierarchies, missing
 dimensions, 0..N observations) through the baseline, the streaming
 baseline, the sequential cubeMasking path, the runner's
-``score_range`` units and the incremental path, asserting
+``score_range`` units, the shared-memory worker pool, the incremental
+path (from a random split and from an empty space), retraction of a
+random subset and a segment-store round trip, asserting
 ``RelationshipSet``s identical to the executable oracle
 (:mod:`tests.oracle`, a double loop over the reference predicates) —
 including degrees and partial-dimension maps — and path-independent
@@ -11,8 +13,14 @@ pruning statistics.  The lossy clustering and hybrid methods are held
 to a subset of the oracle, exact on every pair they emit.
 Chunk/tile boundaries are swept explicitly: a block split at every
 possible boundary must produce the same partial results and dimension
-masks as one monolithic evaluation.
+masks as one monolithic evaluation.  The oracle itself is held to the
+identity that makes S_P derivable: for an observation with a
+root-coded dimension, S_P(a) ∪ S_F(a) is every other observation
+sharing a measure with it.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,6 +30,8 @@ from repro.core import (
     compute_baseline,
     compute_baseline_streaming,
     compute_cubemask,
+    compute_relationships,
+    remove_observations,
     update_relationships,
 )
 from repro.core.cubemask import STAT_KEYS, build_cubemask_state, score_range
@@ -30,6 +40,8 @@ from repro.core.parallel import enumerate_unit_ranges
 from repro.core.results import RelationshipSet
 from repro.paper.cluster_method import compute_clustering
 from repro.paper.hybrid import compute_hybrid
+from repro.storage import SegmentStore
+from repro.store import save_relationships
 
 from tests.oracle import oracle
 from tests.property.strategies import observation_spaces
@@ -205,3 +217,92 @@ def test_incremental_kernel_matches_python(space, split_at):
         assert result == expected
         assert result.degrees == expected.degrees
         assert result.partial_map == expected.partial_map
+
+
+def assert_equals_oracle(result, expected, with_map=True):
+    assert result == expected
+    assert result.degrees == expected.degrees
+    if with_map:
+        assert result.partial_map == expected.partial_map
+
+
+def arrivals_of(space, rows):
+    return [
+        (r.uri, r.dataset, dict(zip(space.dimensions, r.codes)), r.measures)
+        for r in (space[i] for i in rows)
+    ]
+
+
+@given(observation_spaces(max_observations=18), st.booleans())
+@settings(max_examples=8, deadline=None)
+def test_shared_memory_pool_matches_oracle(space, collect_dims):
+    """Cube-pair ranges scored by a two-worker pool over arrays published
+    in shared memory equal the oracle (the size floor is lowered so the
+    pool runs even on these small spaces)."""
+    result = compute_relationships(
+        space,
+        "cube_masking",
+        workers=2,
+        min_parallel_observations=0,
+        collect_partial_dimensions=collect_dims,
+    )
+    assert_equals_oracle(result, oracle(space), with_map=collect_dims)
+
+
+@given(observation_spaces(max_observations=16), st.data())
+@settings(max_examples=20, deadline=None)
+def test_remove_random_subset_matches_oracle(space, data):
+    """Retracting a random subset leaves the survivors' space (same
+    records, in order) and exactly the oracle of the survivors."""
+    doomed = data.draw(st.sets(st.sampled_from(range(len(space))))) if len(space) else set()
+    survivors = [i for i in range(len(space)) if i not in doomed]
+    result = compute_cubemask(space, collect_partial_dimensions=True)
+    new_space, result = remove_observations(space, result, [space[i].uri for i in sorted(doomed)])
+    assert [
+        (r.uri, r.dataset, r.codes, r.measures) for r in new_space
+    ] == [(r.uri, r.dataset, r.codes, r.measures) for r in (space[i] for i in survivors)]
+    assert_equals_oracle(result, oracle(new_space))
+
+
+@given(observation_spaces(max_observations=14))
+@settings(max_examples=20, deadline=None)
+def test_incremental_from_empty_matches_oracle(space):
+    """Inserting every observation into an empty space through the
+    incremental path equals the oracle of the whole space."""
+    grown = space.select([])
+    result = update_relationships(grown, RelationshipSet(), arrivals_of(space, range(len(space))))
+    assert len(grown) == len(space)
+    assert_equals_oracle(result, oracle(space))
+
+
+@given(observation_spaces(max_observations=16))
+@settings(max_examples=15, deadline=None)
+def test_segment_store_round_trip_matches_oracle(space):
+    """A result saved as a segment store partitioned by (dataset, level
+    signature) and loaded back equals the oracle."""
+    expected = oracle(space)
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "s.rseg"
+        save_relationships(compute_cubemask(space, collect_partial_dimensions=True), path, space=space)
+        store = SegmentStore.open(path)
+        try:
+            loaded = store.load()
+        finally:
+            store.close()
+    assert_equals_oracle(loaded, expected)
+
+
+@given(observation_spaces(max_observations=18))
+@settings(max_examples=25, deadline=None)
+def test_oracle_partial_is_measure_sharers_minus_full(space):
+    """For an observation ``a`` with a root-coded dimension,
+    ``S_P(a) ∪ S_F(a) = M(a) − {a}``, where ``M(a)`` is the set of
+    observations sharing a measure with ``a``."""
+    expected = oracle(space)
+    roots = tuple(space.hierarchies[d].root for d in space.dimensions)
+    for a in space:
+        if not any(code == root for code, root in zip(a.codes, roots)):
+            continue
+        sharers = {b.uri for b in space if b.uri != a.uri and not a.measures.isdisjoint(b.measures)}
+        contained = {b for container, b in expected.full | expected.partial if container == a.uri}
+        assert contained == sharers
