@@ -129,13 +129,9 @@ class Router:
         self._stop = threading.Event()
         self._poller: threading.Thread | None = None
         # Observation routing metadata: uri -> (dataset, signature).
-        self._locate: dict[str, tuple[str, tuple]] = {}
-        if space is not None:
-            for record in space.observations:
-                self._locate[str(record.uri)] = (
-                    str(record.dataset),
-                    space.level_signature(record.index),
-                )
+        self._locate: dict[str, tuple[str, tuple]] = (
+            {str(uri): key for uri, key in space.partition_keys().items()} if space is not None else {}
+        )
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, 2 * manifest.shards), thread_name_prefix="repro-router"
         )

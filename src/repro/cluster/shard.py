@@ -60,11 +60,7 @@ def prune_foreign_pairs(result: RelationshipSet, owned: set[str], space) -> int:
     """
     if space is None:
         return 0
-    keys: dict = {}
-    for record in space.observations:
-        keys[record.uri] = partition_key_str(
-            str(record.dataset), space.level_signature(record.index)
-        )
+    keys = {uri: partition_key_str(*key) for uri, key in space.partition_keys().items()}
     default_key = partition_key_str(None, None)
 
     def foreign(pair) -> bool:

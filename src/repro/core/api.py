@@ -24,12 +24,19 @@ from enum import Enum
 from typing import Iterable, Mapping
 
 from repro.errors import AlgorithmError
-from repro.core.results import RelationshipDelta, RelationshipSet, canonical
-from repro.core.space import ObservationSpace
+from repro.core.results import RelationshipDelta, RelationshipSet
+from repro.core.space import NewObservation, ObservationSpace
 from repro.qb.model import CubeSpace
 from repro.rdf.terms import URIRef
 
-__all__ = ["Method", "compute_relationships", "update_relationships", "remove_observations"]
+__all__ = [
+    "Method",
+    "compute_relationships",
+    "update_relationships",
+    "remove_observations",
+    "insertion_delta",
+    "removal_delta",
+]
 
 
 class Method(str, Enum):
@@ -148,97 +155,72 @@ def compute_relationships(
 def update_relationships(
     space: ObservationSpace,
     result: RelationshipSet,
-    new_observations: Iterable[tuple[URIRef, URIRef, Mapping[URIRef, URIRef], Iterable[URIRef]]],
+    new_observations: Iterable[NewObservation],
     *,
     return_delta: bool = False,
 ) -> RelationshipSet | tuple[RelationshipSet, RelationshipDelta]:
     """Incrementally extend ``result`` with relationships of new data.
 
-    Appends each ``(uri, dataset, dims, measures)`` tuple to ``space``
-    and checks only the pairs that involve at least one new observation
-    — a caller of the cubeMasking executor
-    (:func:`~repro.core.cubemask.score_batch`) that feeds only new
-    rows.  For each cube holding new rows it scores, per direction, at
-    most two batches: the cubes whose level signatures dominate (full
-    containment and complementarity possible) and those that only
-    partially dominate (partial containment only); cubes admitting
-    neither direction are skipped without touching a dimension, exactly
-    like the batch sweep.  Direction 1 scores old members of the
-    admissible cubes against the new rows; direction 2 scores the new
-    rows against every admissible member, new ones included.
-    ``result`` is mutated in place and returned.
+    :func:`insertion_delta` followed by ``result.apply_delta``:
+    ``result`` is mutated in place and returned.  With
+    ``return_delta=True`` the return value is ``(result, delta)``, the
+    hook the relationship service uses for O(|delta|) index
+    maintenance and cache invalidation.
+    """
+    delta = insertion_delta(space, result, new_observations)
+    result.apply_delta(delta)
+    return (result, delta) if return_delta else result
 
-    With ``return_delta=True`` the return value is ``(result, delta)``
-    where ``delta`` is a :class:`~repro.core.results.RelationshipDelta`
-    listing the pairs this call added — the hook the relationship
-    service uses for O(|delta|) index maintenance and cache
-    invalidation.
+
+def insertion_delta(
+    space: ObservationSpace,
+    result: RelationshipSet,
+    new_observations: Iterable[NewObservation],
+) -> RelationshipDelta:
+    """Append new observations to ``space``; return the pairs they add.
+
+    The ``(uri, dataset, dims, measures)`` tuples are appended as one
+    batch (:meth:`ObservationSpace.extend`: validated whole before any
+    row lands; a URI the space already holds adds nothing when its
+    content is identical and raises
+    :class:`~repro.errors.ObservationConflictError` otherwise).  Only
+    pairs that involve at least one new observation are checked, by the
+    cubeMasking executor (:func:`~repro.core.cubemask.score_batch`) fed
+    only new rows.  For each cube holding new rows it scores, per
+    direction, at most two batches: the cubes whose level signatures
+    dominate (full containment and complementarity possible) and those
+    that only partially dominate (partial containment only); cubes
+    admitting neither direction are skipped without touching a
+    dimension, exactly like the batch sweep.  Direction 1 scores old
+    members of the admissible cubes against the new rows; direction 2
+    scores the new rows against every admissible member, new ones
+    included.  ``result`` is read, not changed.
     """
     import numpy as np
 
     from repro.core import kernels as _kernels
-    from repro.core.cubemask import score_batch
-    from repro.core.lattice import CubeLattice
+    from repro.core.cubemask import emit_block, score_batch
 
-    delta = RelationshipDelta()
     start = len(space)
-    for uri, dataset, dims, measures in new_observations:
-        space.add(uri, dataset, dims, measures)
-    if len(space) == start:
-        return (result, delta) if return_delta else result
-    dimensions = space.dimensions
-    k = len(dimensions)
-    uris = [record.uri for record in space.observations]
-    collect_masks = k <= _kernels.DIM_MASK_LIMIT
+    if not space.extend(new_observations):
+        return RelationshipDelta()
+    collect_masks = len(space.dimensions) <= _kernels.DIM_MASK_LIMIT
     plan = _kernels.build_kernel_plan(space, collect_partial_dimensions=collect_masks)
-    lattice = CubeLattice(space)
-    cubes = list(lattice.nodes)
-    levels = np.asarray(cubes, dtype=np.int16).reshape(len(cubes), k)
-    members = [np.asarray(lattice.nodes[cube], dtype=np.int64) for cube in cubes]
+    levels, members, offsets, cube_of_row = space.cubes()
     targets = ("full", "complementary", "partial")
-    # Partial pairs share one map_P set per mask and one degree per
-    # count: an insert can add thousands of pairs with only a handful
-    # of distinct values.
-    degrees = [count / k for count in range(k + 1)]
-    decoded: dict[int, frozenset] = {}
+    added = RelationshipSet()
 
     def emit(block) -> None:
-        for a, b in zip(block.full_a.tolist(), block.full_b.tolist()):
-            pair = (uris[a], uris[b])
-            if pair not in result.full:
-                result.add_full(*pair)
-                delta.added_full.add(pair)
-        for a, b in zip(block.compl_a.tolist(), block.compl_b.tolist()):
-            pair = canonical(uris[a], uris[b])
-            if pair not in result.complementary:
-                result.complementary.add(pair)
-                delta.added_complementary.add(pair)
-        masks = block.partial_dim_masks
-        for position, (a, b, count) in enumerate(block.partial):
-            pair = (uris[a], uris[b])
-            if masks is None:
-                dims = space.partial_dimensions(a, b)
-            else:
-                mask = masks[position]
-                dims = decoded.get(mask)
-                if dims is None:
-                    dims = decoded[mask] = _kernels.decode_dim_mask(dimensions, mask)
-            fresh = pair not in result.partial
-            result.add_partial(*pair, dims, degrees[count])
-            if fresh:
-                delta.added_partial.add(pair)
-                delta.partial_map[pair] = dims
-                delta.degrees[pair] = degrees[count]
+        emit_block(added, block, space.uris, space.dimensions, space)
 
     def rows_of(selected, old_only: bool) -> np.ndarray:
-        rows = [members[i] for i in np.flatnonzero(selected)]
-        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64)
+        rows = [members[offsets[c] : offsets[c + 1]] for c in np.flatnonzero(selected)]
+        rows = np.concatenate(rows) if rows else np.zeros(0, dtype=np.int32)
         return rows[rows < start] if old_only else rows
 
-    for index in range(len(cubes)):
-        new_rows = members[index][members[index] >= start]
-        if not new_rows.size:
-            continue
+    for index in np.unique(cube_of_row[start:]):
+        cube = members[offsets[index] : offsets[index + 1]]
+        new_rows = cube[cube >= start]
         # Direction 1: cubes that may contain this cube (old members
         # only; new-new pairs are covered by direction 2).
         # Direction 2: cubes this cube may contain.
@@ -253,7 +235,15 @@ def update_relationships(
                     emit(score_batch(plan, others, new_rows, dominates, targets, collect_masks))
                 else:
                     emit(score_batch(plan, new_rows, others, dominates, targets, collect_masks))
-    return (result, delta) if return_delta else result
+    delta = RelationshipDelta(
+        added_full=added.full - result.full,
+        added_partial=added.partial - result.partial,
+        added_complementary=added.complementary - result.complementary,
+    )
+    for pair in delta.added_partial:
+        delta.partial_map[pair] = added.partial_map[pair]
+        delta.degrees[pair] = added.degrees[pair]
+    return delta
 
 
 def remove_observations(
@@ -265,35 +255,38 @@ def remove_observations(
 ) -> tuple[ObservationSpace, RelationshipSet] | tuple[ObservationSpace, RelationshipSet, RelationshipDelta]:
     """Incrementally retract observations.
 
-    Returns ``(new_space, result)`` where ``new_space`` is a re-indexed
-    copy without the removed observations and ``result`` (mutated in
-    place) has every pair touching a removed observation purged —
-    retraction never requires recomputation because relationships are
-    pairwise.
-
-    With ``return_delta=True`` a third element reports the purged pairs
+    :func:`removal_delta` followed by ``result.apply_delta``: returns
+    ``(new_space, result)`` with ``result`` mutated in place.  With
+    ``return_delta=True`` a third element reports the purged pairs
     (``delta.removed_*``) so an index over ``result`` can retract the
     same edges without a rebuild.
     """
+    new_space, delta = removal_delta(space, result, uris)
+    result.apply_delta(delta)
+    return (new_space, result, delta) if return_delta else (new_space, result)
+
+
+def removal_delta(
+    space: ObservationSpace, result: RelationshipSet, uris: Iterable[URIRef]
+) -> tuple[ObservationSpace, RelationshipDelta]:
+    """``(new_space, delta)`` of retracting ``uris``; neither input changes.
+
+    ``new_space`` is a re-indexed copy without the removed
+    observations and ``delta.removed_*`` every pair touching one of
+    them — retraction never requires recomputation because
+    relationships are pairwise.
+    """
+    import numpy as np
+
     removed = set(uris)
-    unknown = removed - {record.uri for record in space.observations}
+    unknown = [uri for uri in removed if uri not in space]
     if unknown:
         raise AlgorithmError(f"cannot remove unknown observations: {sorted(unknown)[:3]}")
-    survivors = [
-        record.index for record in space.observations if record.uri not in removed
-    ]
-    new_space = space.select(survivors)
+    keep = np.ones(len(space), dtype=bool)
+    keep[[space.index_of(uri) for uri in removed]] = False
     delta = RelationshipDelta(
         removed_full={pair for pair in result.full if set(pair) & removed},
         removed_partial={pair for pair in result.partial if set(pair) & removed},
         removed_complementary={pair for pair in result.complementary if set(pair) & removed},
     )
-    result.full -= delta.removed_full
-    result.partial -= delta.removed_partial
-    result.complementary -= delta.removed_complementary
-    for pair in delta.removed_partial:
-        result.partial_map.pop(pair, None)
-        result.degrees.pop(pair, None)
-    if return_delta:
-        return new_space, result, delta
-    return new_space, result
+    return space.select(np.flatnonzero(keep)), delta

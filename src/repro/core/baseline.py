@@ -24,17 +24,11 @@ __all__ = ["compute_baseline", "derive_relationships", "measure_overlap_matrix"]
 
 
 def measure_overlap_matrix(space: ObservationSpace) -> np.ndarray:
-    """Boolean n×n matrix of pairwise measure-set intersection.
-
-    Expanded from the deduplicated group tables of
-    :func:`repro.core.kernels.measure_overlap_groups` — distinct
-    measure sets are compared once, the "simple lookup" of the paper —
-    so this stays one helper shared with cubeMasking and the kernels.
-    """
-    from repro.core.kernels import measure_overlap_groups
-
-    assignment, overlap = measure_overlap_groups(space)
-    return overlap[assignment[:, None], assignment[None, :]]
+    """Boolean n×n matrix of pairwise measure-set intersection,
+    expanded from the space's measure groups: distinct measure sets are
+    compared once, the "simple lookup" of the paper."""
+    groups = space.groups
+    return space.group_overlap[groups[:, None], groups[None, :]]
 
 
 def normalize_targets(targets, collect_partial: bool = True) -> frozenset[str]:
@@ -68,7 +62,7 @@ def derive_relationships(
         return result
     counts = ocm.counts
     total = ocm.dimension_count
-    uris = [record.uri for record in space.observations]
+    uris = space.uris
 
     full_dims = counts == total
     np.fill_diagonal(full_dims, False)

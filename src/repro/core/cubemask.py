@@ -42,7 +42,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core import kernels as _kernels
-from repro.core.lattice import CubeLattice
 from repro.core.results import RelationshipSet
 from repro.core.space import ObservationSpace
 from repro.errors import AlgorithmError
@@ -148,19 +147,8 @@ def build_cubemask_state(
     (``collect_masks``) ride along up to
     :data:`~repro.core.kernels.DIM_MASK_LIMIT` dimensions.
     """
-    lattice = CubeLattice(space)
-    cubes = sorted(lattice.nodes)
+    signatures, members, cube_offsets, cube_of_row = space.cubes()
     k = len(space.dimensions)
-    signatures = np.asarray(cubes, dtype=np.int16).reshape(len(cubes), k)
-    member_lists = [lattice.nodes[cube] for cube in cubes]
-    cube_offsets = np.zeros(len(cubes) + 1, dtype=np.int64)
-    if member_lists:
-        cube_offsets[1:] = np.cumsum([len(members) for members in member_lists])
-    members = (
-        np.concatenate([np.asarray(m, dtype=np.int32) for m in member_lists])
-        if member_lists
-        else np.zeros(0, dtype=np.int32)
-    )
     collect_masks = collect_partial_dimensions and k <= _kernels.DIM_MASK_LIMIT
     plan = _kernels.build_kernel_plan(space, collect_partial_dimensions=collect_masks)
     want_full = "full" in targets
@@ -168,7 +156,7 @@ def build_cubemask_state(
     pairs = _enumerate_pairs(signatures, want_partial)
 
     counts = {key: 0 for key in STAT_KEYS}
-    counts["cubes"] = len(cubes)
+    counts["cubes"] = len(signatures)
     sizes = np.diff(cube_offsets)
     index_a, index_b = pairs[:, 0], pairs[:, 1]
     la, lb = sizes[index_a], sizes[index_b]
@@ -179,10 +167,8 @@ def build_cubemask_state(
         # measure-groups overlap (always true for same-cube pairs —
         # measure sets are non-empty, so complementarity is never lost).
         group_count = plan.group_overlap.shape[0]
-        cube_group = np.zeros((len(cubes), group_count), dtype=np.int32)
-        for position, member_list in enumerate(member_lists):
-            rows = np.asarray(member_list, dtype=np.int64)
-            cube_group[position, plan.assignment[rows]] = 1
+        cube_group = np.zeros((len(signatures), group_count), dtype=np.int32)
+        cube_group[cube_of_row, plan.assignment] = 1
         # keep[p] = any overlap between cube A's and cube B's groups,
         # as a per-pair row dot against the overlap-reachable groups —
         # no |cubes|² share matrix is ever materialised.
@@ -212,7 +198,7 @@ def build_cubemask_state(
         dimensions=space.dimensions,
         collect_masks=collect_masks,
         counts=counts,
-        uris=[record.uri for record in space.observations],
+        uris=space.uris,
     )
 
 
@@ -323,7 +309,8 @@ def emit_block(
     for a, b in zip(block.compl_a.tolist(), block.compl_b.tolist()):
         result.add_complementary(uris[a], uris[b])
     if space is not None and block.partial_masks is None:
-        for a, b, count in block.partial:
+        partial = zip(block.partial_a.tolist(), block.partial_b.tolist(), block.partial_counts.tolist())
+        for a, b, count in partial:
             result.add_partial(uris[a], uris[b], space.partial_dimensions(a, b), count / k)
         return
     masks = block.partial_masks

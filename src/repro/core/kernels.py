@@ -8,9 +8,9 @@ Hierarchies are single-parent trees, so observation ``a`` contains
 one integer compare per pair and dimension.  This module evaluates a
 whole cube pair as chunked broadcast compares over that one predicate:
 
-* :func:`build_kernel_plan` gathers the per-observation code ids,
-  levels and ancestor codes from per-distinct-code tables, plus the
-  deduplicated measure-group tables, once per space,
+* :func:`build_kernel_plan` hands out the observation space's own
+  columns — code ids, levels, ancestor codes and measure groups, all
+  encoded once as each observation arrives — as a :class:`KernelPlan`,
 * :func:`evaluate_pair_block` scores the member rows of cube A against
   cube B in bulk.  The partial/full pass stacks the per-dimension
   containment tests into one *bitset mask* per pair (bit ``p`` = cube
@@ -21,10 +21,9 @@ whole cube pair as chunked broadcast compares over that one predicate:
   re-testing of survivors.  Results come back *columnar* (index
   arrays, not Python tuples) so a million-pair block costs a handful
   of array slices rather than a million tuple allocations,
-* :func:`measure_overlap_groups` is the single shared copy of the
-  measure-overlap prefilter (previously duplicated between the
-  baseline and cubeMasking), with the group-intersection table
-  computed as one boolean matrix product instead of an O(g²) loop,
+* :func:`measure_overlap_groups` is the measure-overlap prefilter the
+  baseline and cubeMasking share: the space's group ids and its
+  group-intersection table,
 * :func:`publish_arrays` / :func:`attach_arrays` place a plan's arrays
   in a :mod:`multiprocessing.shared_memory` segment exactly once so
   worker processes attach zero-copy instead of unpickling the space.
@@ -39,6 +38,7 @@ from __future__ import annotations
 import threading
 import time
 from multiprocessing import shared_memory
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,34 +220,21 @@ def measure_overlap_groups(space: ObservationSpace) -> tuple[np.ndarray, np.ndar
 
     ``assignment[i]`` is the group id of observation ``i``'s measure
     set; ``overlap[g, h]`` is True when groups ``g`` and ``h`` share a
-    measure.  Distinct measure sets are deduplicated first — the
-    "simple lookup" of the paper — and the g×g intersection table is a
-    single boolean matrix product over the group-membership matrix
-    rather than a pairwise ``isdisjoint`` loop.
+    measure.  Both are the space's own columns: distinct measure sets
+    are numbered as observations arrive — the "simple lookup" of the
+    paper — and the g×g table is one boolean matrix product.
     """
-    unique: dict[frozenset, int] = {}
-    assignment = np.empty(len(space), dtype=np.int32)
-    for record in space.observations:
-        assignment[record.index] = unique.setdefault(record.measures, len(unique))
-    columns = {
-        measure: position
-        for position, measure in enumerate(
-            sorted({m for group in unique for m in group}, key=str)
-        )
-    }
-    membership = np.zeros((len(unique), len(columns)), dtype=np.uint8)
-    for group, group_id in unique.items():
-        for measure in group:
-            membership[group_id, columns[measure]] = 1
-    overlap = (membership @ membership.T) > 0
-    return assignment, overlap
+    return space.groups, space.group_overlap
 
 
 # ----------------------------------------------------------------------
 # The kernel plan: every array the bulk evaluation needs.
 # ----------------------------------------------------------------------
-class KernelPlan:
-    """Per-space arrays for vectorised cube-pair evaluation.
+class KernelPlan(NamedTuple):
+    """The arrays vectorised cube-pair evaluation reads.
+
+    In-process they are the observation space's own columns; pool
+    workers build one over the same arrays attached from shared memory.
 
     ``code_ids``
         ``(n, k)`` ``int32`` — each observation's dimension values as
@@ -267,38 +254,18 @@ class KernelPlan:
         ``anc_codes[b, level_offsets[p] + levels[a, p]] == code_ids[a, p]``.
     """
 
-    __slots__ = (
-        "dimensions",
-        "k",
-        "code_ids",
-        "code_keys",
-        "assignment",
-        "group_overlap",
-        "levels",
-        "anc_codes",
-        "level_offsets",
-    )
+    dimensions: tuple[URIRef, ...]
+    code_ids: np.ndarray
+    code_keys: np.ndarray
+    assignment: np.ndarray
+    group_overlap: np.ndarray
+    levels: np.ndarray
+    anc_codes: np.ndarray
+    level_offsets: tuple[int, ...]
 
-    def __init__(
-        self,
-        dimensions: tuple[URIRef, ...],
-        code_ids: np.ndarray,
-        code_keys: np.ndarray,
-        assignment: np.ndarray,
-        group_overlap: np.ndarray,
-        levels: np.ndarray,
-        anc_codes: np.ndarray,
-        level_offsets: tuple[int, ...],
-    ):
-        self.dimensions = dimensions
-        self.k = len(dimensions)
-        self.code_ids = code_ids
-        self.code_keys = code_keys
-        self.assignment = assignment
-        self.group_overlap = group_overlap
-        self.levels = levels
-        self.anc_codes = anc_codes
-        self.level_offsets = level_offsets
+    @property
+    def k(self) -> int:
+        return len(self.dimensions)
 
     @property
     def n(self) -> int:
@@ -313,12 +280,10 @@ def build_kernel_plan(
     *,
     collect_partial_dimensions: bool = False,
 ) -> KernelPlan:
-    """Assemble a :class:`KernelPlan` for ``space``.
+    """Hand out ``space``'s own arrays as a :class:`KernelPlan`.
 
-    Each dimension's distinct codes are resolved once into a table row
-    (code id, level, ancestor codes from one parent-chain walk); every
-    observation row is then a numpy gather of its code's table row, so
-    the Python work is one dict lookup per observation and dimension.
+    The space encodes every row once, when it arrives, so this does no
+    per-row work; until the next write it returns the same arrays.
 
     Pass ``collect_partial_dimensions=True`` when the plan will be
     asked for partial-dimension bitmasks: buses wider than
@@ -327,51 +292,15 @@ def build_kernel_plan(
     """
     if collect_partial_dimensions:
         ensure_dim_mask_capacity(len(space.dimensions))
-    n = len(space)
-    dimensions = space.dimensions
-    widths = [space.hierarchies[dimension].max_level + 1 for dimension in dimensions]
-    level_offsets = tuple(int(offset) for offset in np.cumsum([0] + widths[:-1]))
-    code_ids = np.zeros((n, len(dimensions)), dtype=np.int32)
-    levels = np.zeros((n, len(dimensions)), dtype=np.int32)
-    anc_codes = np.full((n, sum(widths)), -1, dtype=np.int32)
-    columns = list(zip(*(record.codes for record in space.observations))) or [()] * len(dimensions)
-    for position, (dimension, column) in enumerate(zip(dimensions, columns)):
-        hierarchy = space.hierarchies[dimension]
-        distinct: dict = {}
-        inverse = np.fromiter(
-            (distinct.setdefault(code, len(distinct)) for code in column),
-            dtype=np.intp,
-            count=n,
-        )
-        ids: dict = {}
-        table = np.full((len(distinct), widths[position]), -1, dtype=np.int32)
-        table_levels = np.zeros(len(distinct), dtype=np.int32)
-        for row, code in enumerate(distinct):
-            depth = table_levels[row] = hierarchy.level(code)
-            node = code
-            while node is not None:
-                table[row, depth] = ids.setdefault(node, len(ids))
-                node = hierarchy.parent(node)
-                depth -= 1
-        levels[:, position] = table_levels[inverse]
-        code_ids[:, position] = table[np.arange(len(distinct)), table_levels][inverse]
-        base = level_offsets[position]
-        anc_codes[:, base : base + widths[position]] = table[inverse]
-    if n:
-        _, inverse = np.unique(code_ids, axis=0, return_inverse=True)
-        code_keys = np.ascontiguousarray(inverse.reshape(n), dtype=np.int32)
-    else:
-        code_keys = np.zeros(0, dtype=np.int32)
-    assignment, group_overlap = measure_overlap_groups(space)
     return KernelPlan(
-        dimensions=dimensions,
-        code_ids=code_ids,
-        code_keys=code_keys,
-        assignment=assignment,
-        group_overlap=group_overlap,
-        levels=levels,
-        anc_codes=anc_codes,
-        level_offsets=level_offsets,
+        dimensions=space.dimensions,
+        code_ids=space.code_ids,
+        code_keys=space.code_keys,
+        assignment=space.groups,
+        group_overlap=space.group_overlap,
+        levels=space.levels,
+        anc_codes=space.anc_codes,
+        level_offsets=space.level_offsets,
     )
 
 
@@ -391,7 +320,7 @@ def _cat(parts: list, empty: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-class PairBlockResult:
+class PairBlockResult(NamedTuple):
     """Columnar index-level output of one cube-pair evaluation.
 
     The kernel returns *arrays*: ``full_a``/``full_b`` and
@@ -401,86 +330,16 @@ class PairBlockResult:
     degree is ``count / k``); ``partial_masks`` (when requested)
     aligns with them and carries a bitmask whose bit ``p`` marks
     containment on dimension ``p`` of the bus, ``None`` otherwise.
-
-    The ``full`` / ``complementary`` / ``partial`` /
-    ``partial_dim_masks`` properties materialise the historical
-    tuple-list forms on demand for small-block consumers (incremental
-    updates, tests); bulk consumers use the arrays directly — that is
-    the difference between a million result rows costing a few array
-    concatenations and costing a million tuple allocations.
     """
 
-    __slots__ = (
-        "full_a",
-        "full_b",
-        "compl_a",
-        "compl_b",
-        "partial_a",
-        "partial_b",
-        "partial_counts",
-        "partial_masks",
-        "_full_list",
-        "_compl_list",
-        "_partial_list",
-        "_mask_list",
-    )
-
-    def __init__(
-        self,
-        *,
-        full_a: np.ndarray = _EMPTY_IDX,
-        full_b: np.ndarray = _EMPTY_IDX,
-        compl_a: np.ndarray = _EMPTY_IDX,
-        compl_b: np.ndarray = _EMPTY_IDX,
-        partial_a: np.ndarray = _EMPTY_IDX,
-        partial_b: np.ndarray = _EMPTY_IDX,
-        partial_counts: np.ndarray = _EMPTY_COUNTS,
-        partial_masks: np.ndarray | None = None,
-    ):
-        self.full_a = full_a
-        self.full_b = full_b
-        self.compl_a = compl_a
-        self.compl_b = compl_b
-        self.partial_a = partial_a
-        self.partial_b = partial_b
-        self.partial_counts = partial_counts
-        self.partial_masks = partial_masks
-        self._full_list = None
-        self._compl_list = None
-        self._partial_list = None
-        self._mask_list = None
-
-    @property
-    def full(self) -> list[tuple[int, int]]:
-        if self._full_list is None:
-            self._full_list = list(zip(self.full_a.tolist(), self.full_b.tolist()))
-        return self._full_list
-
-    @property
-    def complementary(self) -> list[tuple[int, int]]:
-        if self._compl_list is None:
-            self._compl_list = list(zip(self.compl_a.tolist(), self.compl_b.tolist()))
-        return self._compl_list
-
-    @property
-    def partial(self) -> list[tuple[int, int, int]]:
-        if self._partial_list is None:
-            self._partial_list = list(
-                zip(
-                    self.partial_a.tolist(),
-                    self.partial_b.tolist(),
-                    self.partial_counts.tolist(),
-                )
-            )
-        return self._partial_list
-
-    @property
-    def partial_dim_masks(self) -> list[int] | None:
-        if self.partial_masks is None:
-            return None
-        if self._mask_list is None:
-            self._mask_list = self.partial_masks.tolist()
-        return self._mask_list
+    full_a: np.ndarray = _EMPTY_IDX
+    full_b: np.ndarray = _EMPTY_IDX
+    compl_a: np.ndarray = _EMPTY_IDX
+    compl_b: np.ndarray = _EMPTY_IDX
+    partial_a: np.ndarray = _EMPTY_IDX
+    partial_b: np.ndarray = _EMPTY_IDX
+    partial_counts: np.ndarray = _EMPTY_COUNTS
+    partial_masks: np.ndarray | None = None
 
     def __repr__(self) -> str:
         return (

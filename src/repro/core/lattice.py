@@ -29,25 +29,23 @@ def dominates(a: Signature, b: Signature) -> bool:
 class CubeLattice:
     """Observations grouped by their level signatures.
 
-    Construction is the single linear pass of Algorithm 4 steps i–ii:
-    hash each observation's level signature, which identifies and
-    populates its cube simultaneously.
+    A view of :meth:`ObservationSpace.cubes`: the space encodes each
+    observation's level signature once, as it arrives (Algorithm 4
+    steps i–ii), and groups its ``levels`` rows into cubes.
     """
 
     def __init__(self, space: ObservationSpace):
         self.space = space
-        self.nodes: dict[Signature, list[int]] = {}
-        self.signatures: list[Signature] = []
-        level_cache: list[dict[object, int]] = [
-            {code: hierarchy.level(code) for code in hierarchy}
-            for hierarchy in (space.hierarchies[d] for d in space.dimensions)
-        ]
-        for record in space.observations:
-            signature = tuple(
-                level_cache[position][code] for position, code in enumerate(record.codes)
-            )
-            self.signatures.append(signature)
-            self.nodes.setdefault(signature, []).append(record.index)
+        signatures, members, offsets, _ = space.cubes()
+        self.nodes: dict[Signature, list[int]] = {
+            tuple(signature): members[offsets[c] : offsets[c + 1]].tolist()
+            for c, signature in enumerate(signatures.tolist())
+        }
+
+    @property
+    def signatures(self) -> list[Signature]:
+        """Each observation's level signature, by row."""
+        return list(map(tuple, self.space.levels.tolist()))
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -62,7 +60,7 @@ class CubeLattice:
     @property
     def cube_ratio(self) -> float:
         """Cubes per observation — the decreasing curve of Figure 5(f)."""
-        if not self.space.observations:
+        if not len(self.space):
             return 0.0
         return len(self.nodes) / len(self.space)
 

@@ -93,37 +93,24 @@ class OccurrenceMatrix:
     # ------------------------------------------------------------------
     def _build(self) -> None:
         space = self.space
-        for dimension in space.dimensions:
+        rows_codes = [space.codes(row) for row in range(len(space))]
+        for position, dimension in enumerate(space.dimensions):
             hierarchy = space.hierarchies[dimension]
-            codes = sorted(hierarchy, key=str)
-            index = {code: i for i, code in enumerate(codes)}
+            index = {code: i for i, code in enumerate(sorted(hierarchy, key=str))}
             self.feature_index[dimension] = index
-            # Memoise the bit pattern of each distinct code once.
-            pattern_cache: dict[object, object] = {}
-            position = space.dimensions.index(dimension)
+            rows = np.zeros((len(space), len(index)), dtype=bool)
+            # One bit pattern per distinct code of the column.
+            patterns: dict[object, list[int]] = {}
+            for row, codes in enumerate(rows_codes):
+                code = codes[position]
+                if code not in patterns:
+                    patterns[code] = [index[c] for c in hierarchy.ancestors(code)]
+                rows[row, patterns[code]] = True
             if self.backend == "numpy":
-                width = len(codes)
-                rows = np.zeros((len(space), width), dtype=bool)
-                for record in space.observations:
-                    code = record.codes[position]
-                    cols = pattern_cache.get(code)
-                    if cols is None:
-                        cols = [index[c] for c in hierarchy.ancestors(code)]
-                        pattern_cache[code] = cols
-                    rows[record.index, cols] = True
                 self._blocks[dimension] = np.packbits(rows, axis=1)
             else:
-                masks: list[int] = []
-                for record in space.observations:
-                    code = record.codes[position]
-                    mask = pattern_cache.get(code)
-                    if mask is None:
-                        mask = 0
-                        for ancestor in hierarchy.ancestors(code):
-                            mask |= 1 << index[ancestor]
-                        pattern_cache[code] = mask
-                    masks.append(mask)  # type: ignore[arg-type]
-                self._masks[dimension] = masks  # type: ignore[assignment]
+                packed = np.packbits(rows, axis=1, bitorder="little")
+                self._masks[dimension] = [int.from_bytes(r.tobytes(), "little") for r in packed]
 
     # ------------------------------------------------------------------
     def dense(self) -> tuple[np.ndarray, list[tuple[URIRef, object]]]:
@@ -141,18 +128,6 @@ class OccurrenceMatrix:
         if not blocks:
             return np.zeros((len(self.space), 0), dtype=np.uint8), columns
         return np.concatenate(blocks, axis=1).astype(np.uint8), columns
-
-    def packed_block(self, dimension: URIRef) -> np.ndarray:
-        """The packed ``uint8`` block OM_i for one dimension.
-
-        Rows are observations, bytes hold the reflexive
-        ancestor-closure bits produced by ``np.packbits``.  This is
-        the raw representation the cube-pair kernels
-        (:mod:`repro.core.kernels`) slice; numpy backend only.
-        """
-        if self.backend != "numpy":
-            raise AlgorithmError("packed blocks only exist on the numpy backend")
-        return self._blocks[dimension]
 
     def _bits(self, dimension: URIRef) -> np.ndarray:
         width = len(self.feature_index[dimension])

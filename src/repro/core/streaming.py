@@ -51,7 +51,7 @@ class StreamingContext:
         matrix = OccurrenceMatrix(self.space, backend="numpy")
         dimensions = self.space.dimensions
         self.total = len(dimensions)
-        self.uris = [record.uri for record in self.space.observations]
+        self.uris = self.space.uris
         self.overlap = measure_overlap_matrix(self.space)
         self.blocks = {dimension: matrix._blocks[dimension] for dimension in dimensions}
 

@@ -84,6 +84,11 @@ class AlgorithmError(ReproError):
     """A relationship-computation algorithm received invalid input."""
 
 
+class ObservationConflictError(AlgorithmError):
+    """An observation URI was re-declared with a different dataset,
+    dimension values or measures than the row it already names."""
+
+
 class ComputationError(ReproError):
     """Base class for failures *during* a relationship computation.
 

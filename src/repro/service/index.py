@@ -14,8 +14,9 @@ scan over |S_F|+|S_P|+|S_C| pairs:
 * ``complements_of(o)`` — the symmetric complementarity neighbourhood.
 
 When built with the :class:`~repro.core.space.ObservationSpace` the
-index also groups observations per dataset and per lattice cube (level
-signature), which backs the service's dataset/dimension filters.
+index also answers the per-dataset and per-cube (level signature)
+groupings that back the service's dataset/dimension filters, by reading
+the space's own columns — it keeps no copy of them.
 
 Construction is a single pass over the pairs and observations —
 O(|S_F|+|S_P|+|S_C|+n) plus one sort per partial neighbour list — and
@@ -81,15 +82,8 @@ class RelationshipIndex:
             _add_edge(self._compl, a, b)
             _add_edge(self._compl, b, a)
 
-        # groupings (populated when a space is supplied)
-        self._datasets: dict[URIRef, set[URIRef]] = {}
-        self._cubes: dict[Signature, set[URIRef]] = {}
-        self._uri_dataset: dict[URIRef, URIRef] = {}
-        self._uri_signature: dict[URIRef, Signature] = {}
-        self._registered: set[URIRef] = set()
-        if space is not None:
-            for record in space.observations:
-                self.register(record.uri, record.dataset, space.level_signature(record.index))
+        # dataset/cube groupings are read through the space, if any
+        self.space = space
 
         # degree-sorted partial neighbour lists, rebuilt lazily per uri
         self._rank: dict[URIRef, tuple[tuple[URIRef, float, str], ...]] = {}
@@ -153,59 +147,54 @@ class RelationshipIndex:
         return list(ranked[: max(k, 0)])
 
     # ------------------------------------------------------------------
-    # Groupings
+    # Groupings, read off the observation space
     # ------------------------------------------------------------------
-    def register(self, uri: URIRef, dataset: URIRef, signature: Signature) -> None:
-        """Record an observation's dataset/cube membership."""
-        self.unregister(uri)
-        self._registered.add(uri)
-        self._uri_dataset[uri] = dataset
-        self._uri_signature[uri] = signature
-        self._datasets.setdefault(dataset, set()).add(uri)
-        self._cubes.setdefault(signature, set()).add(uri)
+    def observe(self, space: ObservationSpace | None) -> None:
+        """Answer groupings from ``space`` from now on (a removal hands
+        the engine a new space)."""
+        self.space = space
 
-    def unregister(self, uri: URIRef) -> None:
-        dataset = self._uri_dataset.pop(uri, None)
-        if dataset is not None:
-            members = self._datasets.get(dataset)
-            if members is not None:
-                members.discard(uri)
-                if not members:
-                    del self._datasets[dataset]
-        signature = self._uri_signature.pop(uri, None)
-        if signature is not None:
-            members = self._cubes.get(signature)
-            if members is not None:
-                members.discard(uri)
-                if not members:
-                    del self._cubes[signature]
-        self._registered.discard(uri)
+    def _row(self, uri: URIRef) -> int | None:
+        known = self.space is not None and uri in self.space
+        return self.space.index_of(uri) if known else None
 
     def dataset_members(self, dataset: URIRef) -> frozenset[URIRef]:
-        return frozenset(self._datasets.get(dataset, ()))
+        return frozenset(self.datasets.get(dataset, ()))
 
     def cube_members(self, signature: Signature) -> frozenset[URIRef]:
-        return frozenset(self._cubes.get(tuple(signature), ()))
+        return frozenset(self.cubes.get(tuple(signature), ()))
 
     def dataset_of(self, uri: URIRef) -> URIRef | None:
-        return self._uri_dataset.get(uri)
+        row = self._row(uri)
+        return None if row is None else self.space.datasets[row]
 
     def signature_of(self, uri: URIRef) -> Signature | None:
-        return self._uri_signature.get(uri)
+        row = self._row(uri)
+        return None if row is None else self.space.level_signature(row)
 
     @property
     def datasets(self) -> Mapping[URIRef, set[URIRef]]:
-        return self._datasets
+        groups: dict[URIRef, set[URIRef]] = {}
+        if self.space is not None:
+            for uri, dataset in zip(self.space.uris, self.space.datasets):
+                groups.setdefault(dataset, set()).add(uri)
+        return groups
 
     @property
     def cubes(self) -> Mapping[Signature, set[URIRef]]:
-        return self._cubes
+        if self.space is None:
+            return {}
+        signatures, members, offsets, _ = self.space.cubes()
+        uris = self.space.uris
+        return {
+            tuple(signature): {uris[row] for row in members[offsets[c] : offsets[c + 1]].tolist()}
+            for c, signature in enumerate(signatures.tolist())
+        }
 
     # ------------------------------------------------------------------
     def __contains__(self, uri: URIRef) -> bool:
-        if self._registered:
-            if uri in self._registered:
-                return True
+        if self.space is not None and uri in self.space:
+            return True
         return any(
             uri in adjacency
             for adjacency in (
@@ -218,9 +207,10 @@ class RelationshipIndex:
         )
 
     def observations(self) -> Iterator[URIRef]:
-        """Every known observation URI (registered or pair endpoint)."""
-        seen: set[URIRef] = set(self._registered)
-        yield from self._registered
+        """Every known observation URI (in the space or a pair endpoint)."""
+        known = self.space.uris if self.space is not None else []
+        seen: set[URIRef] = set(known)
+        yield from known
         for adjacency in (
             self._full_out,
             self._full_in,
@@ -272,9 +262,9 @@ class RelationshipIndex:
             "full_pairs": len(self.result.full),
             "partial_pairs": len(self.result.partial),
             "complementary_pairs": len(self.result.complementary),
-            "observations": len(self._registered) or sum(1 for _ in self.observations()),
-            "datasets": len(self._datasets),
-            "cubes": len(self._cubes),
+            "observations": len(self.space or ()) or sum(1 for _ in self.observations()),
+            "datasets": len(set(self.space.datasets)) if self.space is not None else 0,
+            "cubes": len(self.space.cubes()[0]) if self.space is not None else 0,
         }
 
     def __repr__(self) -> str:

@@ -183,7 +183,9 @@ class LazyRelationshipIndex(RelationshipIndex):
             pending = state.get("_pending")
             if pending is not None:
                 built = RelationshipIndex(*pending)
-                state.update(built.__dict__)
+                # an observe() before the build keeps its newer space
+                for attribute, value in built.__dict__.items():
+                    state.setdefault(attribute, value)
                 del state["_pending"]
         return getattr(self, name)
 

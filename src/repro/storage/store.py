@@ -99,15 +99,6 @@ def is_segment_store(path: str | os.PathLike) -> bool:
 # ----------------------------------------------------------------------
 # Partitioning
 # ----------------------------------------------------------------------
-def _observation_keys(space) -> dict[URIRef, PartitionKey]:
-    keys: dict[URIRef, PartitionKey] = {}
-    if space is None:
-        return keys
-    for record in space.observations:
-        keys[record.uri] = (str(record.dataset), space.level_signature(record.index))
-    return keys
-
-
 def partition_relationships(
     result: RelationshipSet, space=None
 ) -> dict[PartitionKey, RelationshipSet]:
@@ -118,7 +109,7 @@ def partition_relationships(
     space does not know — or every pair, when no space is given — land
     in the default partition.
     """
-    keys = _observation_keys(space)
+    keys = space.partition_keys() if space is not None else {}
     parts: dict[PartitionKey, RelationshipSet] = {}
 
     def slot(uri: URIRef) -> RelationshipSet:

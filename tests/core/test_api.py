@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.errors import AlgorithmError
+from repro.errors import AlgorithmError, ObservationConflictError
 from repro.core import Method, compute_baseline, compute_relationships, update_relationships
 from repro.core.space import ObservationSpace
-from repro.data.example import build_example_cubespace, build_example_space
+from repro.data.example import EXNS, build_example_cubespace, build_example_space
 from repro.rdf import EX
 
 from tests.conftest import make_random_space
@@ -214,3 +214,50 @@ class TestIncrementalDelta:
         assert delta  # truthy: something was added
         assert EX.twin in delta.touched()
         assert delta.total_added() >= 1 and delta.total_removed() == 0
+
+
+class TestIncrementalValidation:
+    """One URI is one observation, and a batch applies whole or not at all."""
+
+    @staticmethod
+    def copy_of(space, record, uri=None, measures=None):
+        return (
+            uri or record.uri,
+            record.dataset,
+            dict(zip(space.dimensions, record.codes)),
+            measures or record.measures,
+        )
+
+    def test_rejected_batch_leaves_space_and_result_unchanged(self):
+        space = make_random_space(10, seed=24)
+        result = compute_baseline(space)
+        good = self.copy_of(space, space[0], uri=EX.good)
+        bad = (EX.bad, space[0].dataset, {space.dimensions[0]: EX.nowhere}, space[0].measures)
+        with pytest.raises(AlgorithmError):
+            update_relationships(space, result, [good, bad])
+        assert len(space) == 10
+        assert EX.good not in space
+        assert result == compute_baseline(space)
+
+    def test_identical_reinsert_adds_nothing(self, example_space):
+        result = compute_baseline(example_space)
+        o11 = example_space.record_for(EXNS.o11)
+        _, delta = update_relationships(
+            example_space, result, [self.copy_of(example_space, o11)], return_delta=True
+        )
+        assert len(example_space) == 10
+        assert delta.total_added() == 0
+        assert (o11.uri, o11.uri) not in result.full
+        assert not result.is_complementary(o11.uri, o11.uri)
+        assert result == compute_baseline(example_space)
+
+    def test_conflicting_reinsert_is_typed_and_applies_nothing(self, example_space):
+        result = compute_baseline(example_space)
+        o11 = example_space.record_for(EXNS.o11)
+        fresh = self.copy_of(example_space, o11, uri=EX.fresh)
+        changed = self.copy_of(example_space, o11, measures={EX.otherMeasure})
+        with pytest.raises(ObservationConflictError):
+            update_relationships(example_space, result, [fresh, changed])
+        assert len(example_space) == 10
+        assert EX.fresh not in example_space
+        assert result == compute_baseline(example_space)

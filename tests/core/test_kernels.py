@@ -148,12 +148,15 @@ class TestEvaluatePairBlock:
                 if space.is_partial_containment(a, b):
                     expected_partial[(a, b)] = space.containment_degree(a, b)
                     expected_dims[(a, b)] = space.partial_dimensions(a, b)
-        assert set(block.full) == expected_full
-        assert set(block.complementary) == expected_compl
-        assert {(a, b): count / plan.k for a, b, count in block.partial} == expected_partial
+        partial = list(
+            zip(block.partial_a.tolist(), block.partial_b.tolist(), block.partial_counts.tolist())
+        )
+        assert set(zip(block.full_a.tolist(), block.full_b.tolist())) == expected_full
+        assert set(zip(block.compl_a.tolist(), block.compl_b.tolist())) == expected_compl
+        assert {(a, b): count / plan.k for a, b, count in partial} == expected_partial
         assert {
             (a, b): decode_dim_mask(plan.dimensions, mask)
-            for (a, b, _), mask in zip(block.partial, block.partial_dim_masks)
+            for (a, b, _), mask in zip(partial, block.partial_masks.tolist())
         } == expected_dims
 
     def test_not_containing_skips_full_and_complementary(self):
@@ -161,13 +164,13 @@ class TestEvaluatePairBlock:
         plan = build_kernel_plan(space)
         rows = np.arange(len(space))
         block = evaluate_pair_block(plan, rows, rows, containing=False, same_cube=True)
-        assert block.full == [] and block.complementary == []
+        assert block.full_a.size == 0 and block.compl_a.size == 0
 
     def test_empty_rows(self):
         space = make_random_space(10, seed=11)
         plan = build_kernel_plan(space)
         block = evaluate_pair_block(plan, [], np.arange(10))
-        assert block.full == [] and block.partial == [] and block.complementary == []
+        assert block.full_a.size == block.partial_a.size == block.compl_a.size == 0
 
     def test_dim_mask_limit(self):
         dimensions = tuple(URIRef(f"http://test.example/wide{i}") for i in range(65))

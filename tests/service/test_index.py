@@ -132,10 +132,6 @@ class TestIncrementalMaintenance:
             for r in space.observations[30:]
         ]
         _, delta = update_relationships(base_space, result, newcomers, return_delta=True)
-        for record in base_space.observations[30:]:
-            index.register(
-                record.uri, record.dataset, base_space.level_signature(record.index)
-            )
         index.apply_delta(delta)
         rebuilt = RelationshipIndex(result, base_space)
         uris = [r.uri for r in base_space.observations]
@@ -149,8 +145,7 @@ class TestIncrementalMaintenance:
         new_space, result, delta = remove_observations(
             space, result, victims, return_delta=True
         )
-        for uri in victims:
-            index.unregister(uri)
+        index.observe(new_space)
         index.apply_delta(delta)
         rebuilt = RelationshipIndex(result, new_space)
         uris = [r.uri for r in new_space.observations]
