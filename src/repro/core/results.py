@@ -186,6 +186,11 @@ class RelationshipSet:
             partial = self._partial
             partial_map = self._partial_map
             degrees = self._degrees
+            # A drain can carry millions of pairs but only a handful of
+            # distinct degrees and map_P sets: each is built once and
+            # shared by every pair that has it.
+            shared_degrees: dict[int, list[float]] = {}
+            decoded: dict[tuple[tuple[URIRef, ...], int], frozenset[URIRef]] = {}
             for uris, a_idx, b_idx, counts, k, masks, dimensions in pending:
                 # Bulk set/dict updates: one block can carry millions of
                 # pairs, so the per-pair method-call overhead is worth
@@ -198,21 +203,20 @@ class RelationshipSet:
                 # True division, not multiply-by-inverse: the degree
                 # must be bit-identical to the python paths' count / k.
                 if k:
-                    degrees.update(
-                        zip(pairs, (count / k for count in _tolist(counts)))
-                    )
+                    by_count = shared_degrees.get(k)
+                    if by_count is None:
+                        by_count = shared_degrees[k] = [count / k for count in range(k + 1)]
+                    degrees.update(zip(pairs, map(by_count.__getitem__, _tolist(counts))))
                 if masks is not None:
-                    decoded: dict[int, frozenset[URIRef]] = {}
 
                     def _dims(mask) -> frozenset[URIRef]:
-                        dims = decoded.get(mask)
+                        dims = decoded.get((dimensions, mask))
                         if dims is None:
-                            dims = frozenset(
+                            dims = decoded[dimensions, mask] = frozenset(
                                 dimension
                                 for position, dimension in enumerate(dimensions)
                                 if (mask >> position) & 1
                             )
-                            decoded[mask] = dims
                         return dims
 
                     partial_map.update(zip(pairs, map(_dims, _tolist(masks))))
